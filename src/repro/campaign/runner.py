@@ -30,6 +30,7 @@ executes whatever the farm has not answered and reduces as usual.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -125,7 +126,7 @@ class CampaignRunner:
             "cached": bool(result.cached),
         }
         target = self._record_path(spec_hash)
-        scratch = target.with_suffix(".tmp")
+        scratch = target.with_suffix(f".tmp.{os.getpid()}")
         scratch.write_text(json.dumps(record, indent=2, sort_keys=True))
         scratch.replace(target)
         return record

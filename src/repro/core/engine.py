@@ -1241,10 +1241,10 @@ class MappingEngine:
         payload, so an external store — a sweep farm's artifact bucket, or
         the persistent :class:`~repro.jobs.cache.JobCache` — can dump what
         this process computed and rebuild the results elsewhere.
-        :meth:`import_results` is the matching import half: the jobs layer
-        attaches these entries to every stored ``JobResult`` envelope and
-        seeds fresh engines from them (``JobCache.seed_engine``), so a job
-        that *contains* an already-computed mapping skips recomputation.
+        :meth:`import_results` is the matching import half.  The jobs layer
+        ingests these entries into the cache's engine-state store, which
+        store-attached engines read on a :meth:`map` miss, so a job that
+        *contains* an already-computed mapping skips recomputation.
         """
         from repro.io.serialization import mapping_result_to_dict
 

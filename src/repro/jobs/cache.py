@@ -25,11 +25,22 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, Optional, Set, Union
 
 from repro.jobs.store import EngineStateStore
 
-__all__ = ["JobCache"]
+__all__ = ["JobCache", "SCHEMA", "dumps_compact"]
+
+#: layout version of :class:`~repro.jobs.runner.JobResult` envelopes and the
+#: cache entries holding them.  Untagged entries are schema 1 (they may still
+#: carry inline ``engine_results``); an entry tagged with a *newer* schema
+#: than this reader knows counts as a miss.
+SCHEMA = 2
+
+
+def dumps_compact(document) -> str:
+    """Compact JSON text (no indent, so the C encoder does the work)."""
+    return json.dumps(document, separators=(",", ":"))
 
 
 class JobCache:
@@ -37,36 +48,47 @@ class JobCache:
 
     Besides the envelope files, the cache owns an
     :class:`~repro.jobs.store.EngineStateStore` under
-    ``<directory>/engine-state/`` — the seed corpus is *delegated* to it:
-    engines attached to the store read previously exported mappings and
-    fixed-placement evaluations directly from disk, keyed, instead of the
-    whole corpus being collected from envelopes and shipped around (see
-    :meth:`sync_store` for how envelope-borne exports are folded in).
+    ``<directory>/engine-state/`` — the only warm-start corpus: executions
+    ingest what they computed into it, and engines attached to it read
+    previously computed mappings and fixed-placement evaluations directly
+    from disk, keyed.  Envelopes carry no engine state; :meth:`sync_store`
+    folds in the inline exports of legacy (schema 1) entries.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: the keyed on-disk engine-state store this cache's seed corpus
-        #: lives in (envelope files stay at the top level; the store's
-        #: subtree never collides with the ``*.json`` envelope glob)
+        #: the keyed on-disk engine-state store (envelope files stay at the
+        #: top level; the store's subtree never collides with the ``*.json``
+        #: envelope glob)
         self.store = EngineStateStore(self.directory / "engine-state")
         #: number of lookups answered from disk / missed since construction
         self.hits = 0
         self.misses = 0
         #: number of results written since construction
         self.stores = 0
+        #: entry file names :meth:`sync_store` need not read: the ones this
+        #: instance wrote (they carry no exports) or already folded in
+        self._synced: Set[str] = set()
 
     def path_for(self, key: str) -> Path:
         """The file one key's result lives in."""
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict]:
-        """The stored result document for a key, or ``None`` on a miss."""
+        """The stored result document for a key, or ``None`` on a miss.
+
+        Unreadable entries, non-object documents and entries tagged with a
+        schema newer than :data:`SCHEMA` are misses; untagged legacy entries
+        are hits.
+        """
         target = self.path_for(key)
         try:
             document = json.loads(target.read_text())
         except (OSError, json.JSONDecodeError):
+            document = None
+        schema = document.get("schema", 1) if isinstance(document, dict) else None
+        if not isinstance(schema, int) or schema > SCHEMA:
             self.misses += 1
             return None
         self.hits += 1
@@ -76,71 +98,39 @@ class JobCache:
         """Atomically store one result document; returns the path written."""
         target = self.path_for(key)
         scratch = target.with_suffix(f".tmp.{os.getpid()}")
-        scratch.write_text(json.dumps(document, indent=2))
+        scratch.write_text(dumps_compact(document))
         os.replace(scratch, target)
+        self._synced.add(target.name)
         self.stores += 1
         return target
 
-    def engine_exports(self, seen: Optional[set] = None) -> List[Dict]:
-        """Every engine-result entry attached to the stored envelopes.
+    def sync_store(self) -> Dict[str, int]:
+        """Fold legacy envelope-borne engine exports into the engine-state store.
 
-        Stored :class:`~repro.jobs.runner.JobResult` documents carry the
-        executing engine's :meth:`~repro.core.engine.MappingEngine.export_results`
-        entries; this collects them across the whole store (unreadable
-        entries are skipped, and the hit/miss counters are deliberately left
-        untouched — seeding is not a lookup).  Feed the list to
-        :meth:`~repro.core.engine.MappingEngine.import_results`, or use
-        :meth:`seed_engine` directly.
-
-        ``seen`` makes repeated collection incremental: envelope file names
-        recorded in the set are skipped and newly read names are added, so
-        a long-lived caller (the service's :class:`JobRunner`) re-parses
-        only the envelopes stored since its last call instead of the whole
-        directory on every drain.
+        Schema 1 entries (written before the store existed, or by writers
+        that only dropped result documents) carry their engine exports
+        inline as ``engine_results``; this reads the entries not seen yet —
+        skipping the ones this instance wrote or already read — and ingests
+        those exports into :attr:`store`, after which store-attached engines
+        can read them keyed.  Idempotent: the store skips keys it already
+        holds.  The hit/miss counters are left untouched (syncing is not a
+        lookup).
         """
-        exports: List[Dict] = []
+        exports = []
         for stored in sorted(self.directory.glob("*.json")):
-            if seen is not None and stored.name in seen:
+            if stored.name in self._synced:
                 continue
             try:
                 document = json.loads(stored.read_text())
             except (OSError, json.JSONDecodeError):
                 continue
-            if seen is not None:
-                seen.add(stored.name)
+            self._synced.add(stored.name)
             if not isinstance(document, dict):
                 continue
             entries = document.get("engine_results")
             if isinstance(entries, list):
                 exports.extend(entry for entry in entries if isinstance(entry, dict))
-        return exports
-
-    def sync_store(self, seen: Optional[set] = None) -> Dict[str, int]:
-        """Fold envelope-borne engine exports into the engine-state store.
-
-        Envelopes written before the store existed (or by foreign writers
-        that only drop result documents) carry their engine exports inline;
-        this reads them (incrementally, via the same ``seen`` discipline as
-        :meth:`engine_exports`) and ingests them into :attr:`store`, after
-        which store-attached engines can read them keyed.  Idempotent: the
-        store skips keys it already holds.
-        """
-        return self.store.ingest(self.engine_exports(seen=seen))
-
-    def seed_engine(self, engine) -> int:
-        """Seed a :class:`~repro.core.engine.MappingEngine` from this cache.
-
-        Closes ROADMAP follow-up (h): a fresh engine inherits every mapping
-        any cached job computed, so a job that merely *contains* one of
-        those mappings (a refine job whose initial mapping a design-flow job
-        already produced, a frequency probe at an already-solved operating
-        point) performs zero mapping re-evaluations.  Also attaches
-        :attr:`store`, so fixed-placement evaluations a sibling run
-        persisted are read on demand too.  Returns the number of result
-        entries the engine newly indexed from the envelopes.
-        """
-        engine.attach_store(self.store)
-        return engine.import_results(self.engine_exports())
+        return self.store.ingest(exports)
 
     def keys(self) -> Iterator[str]:
         """All keys currently stored."""

@@ -141,7 +141,8 @@ def _add_common_options(
     parser.add_argument(
         "--no-seed", action="store_true",
         help="do not warm-start executions from the cache's engine-state "
-             "store (only meaningful with --cache-dir)",
+             "store; executions still write what they computed to it (only "
+             "meaningful with --cache-dir)",
     )
     if include_out:
         parser.add_argument(

@@ -16,11 +16,12 @@ responsibilities and nothing else:
 * **persistence** — with a ``cache_dir``, results are stored on disk keyed
   by :func:`repro.jobs.spec.job_hash` (design content + params + config +
   kind + knobs) and later runs — in this process or any other — skip
-  execution entirely.  With ``seed_engines=True`` the cache's
-  :class:`~repro.jobs.store.EngineStateStore` additionally warm-starts the
-  *inside* of executions: fresh engines read previously computed mappings
-  and fixed-placement evaluations straight from disk, so even a job whose
-  hash was never cached skips the work a sibling already did.
+  execution entirely.  Every execution also ingests the engine state it
+  computed into the cache's :class:`~repro.jobs.store.EngineStateStore`,
+  and with ``seed_engines=True`` that store warm-starts the *inside* of
+  executions: fresh engines read previously computed mappings and
+  fixed-placement evaluations straight from disk, so even a job whose hash
+  was never cached skips the work a sibling already did.
 
 Every execution returns a :class:`JobResult` envelope: the job kind, the
 spec hash, the params/config the job ran under, the deterministic
@@ -42,7 +43,7 @@ from repro.core.design_flow import DesignFlow
 from repro.core.engine import MappingEngine
 from repro.exceptions import MappingError, SpecificationError
 from repro.io.serialization import mapping_fingerprint, mapping_result_to_dict
-from repro.jobs.cache import JobCache
+from repro.jobs.cache import SCHEMA, JobCache
 from repro.jobs.spec import (
     DesignFlowJob,
     FrequencyJob,
@@ -67,7 +68,8 @@ class JobResult:
 
     ``payload`` is the deterministic outcome (bit-identical across serial,
     parallel and cached execution); ``elapsed_s``, ``stats`` and ``cached``
-    are diagnostics and vary run to run.
+    are diagnostics and vary run to run.  Engine state is never carried:
+    it lives in the cache's engine-state store.
     """
 
     kind: str
@@ -78,14 +80,11 @@ class JobResult:
     elapsed_s: float = 0.0
     cached: bool = False
     stats: Dict = field(default_factory=dict)
-    #: the executing engine's exported full-mapping results (the seed corpus
-    #: of :meth:`~repro.core.engine.MappingEngine.import_results`); carried
-    #: outside the payload, like the other diagnostics
-    engine_results: List = field(default_factory=list)
 
     def to_dict(self) -> Dict:
         """JSON-ready dictionary form (what the cache stores)."""
         return {
+            "schema": SCHEMA,
             "kind": self.kind,
             "spec_hash": self.spec_hash,
             "params": self.params,
@@ -94,11 +93,11 @@ class JobResult:
             "elapsed_s": self.elapsed_s,
             "cached": self.cached,
             "stats": self.stats,
-            "engine_results": self.engine_results,
         }
 
     @classmethod
     def from_dict(cls, document: Dict) -> "JobResult":
+        """Rebuild an envelope; a legacy entry's ``engine_results`` is ignored."""
         return cls(
             kind=document["kind"],
             spec_hash=document["spec_hash"],
@@ -108,7 +107,6 @@ class JobResult:
             elapsed_s=float(document.get("elapsed_s", 0.0)),
             cached=bool(document.get("cached", False)),
             stats=document.get("stats", {}),
-            engine_results=document.get("engine_results", []),
         )
 
 
@@ -257,7 +255,7 @@ def _execute_portfolio(job: "PortfolioRefineJob", engine: MappingEngine) -> Dict
             with ProcessPoolExecutor(
                 max_workers=min(job.workers, len(documents)),
                 initializer=_init_worker,
-                initargs=(False, store_path),
+                initargs=(store_path, True),
             ) as pool:
                 futures = [
                     pool.submit(_execute_document, document, spec_hash)
@@ -268,8 +266,7 @@ def _execute_portfolio(job: "PortfolioRefineJob", engine: MappingEngine) -> Dict
                 ]
         else:
             chain_results = [
-                execute_job(chain, spec_hash,
-                            export_engine=False, store_path=store_path)
+                execute_job(chain, spec_hash, store_path=store_path)
                 for chain, spec_hash in work
             ]
     finally:
@@ -514,9 +511,8 @@ _EXECUTORS: Dict[str, Callable[[JobSpec, MappingEngine], Dict]] = {
 def execute_job(
     job: JobSpec,
     spec_hash: Optional[str] = None,
-    engine_seed: Optional[List[Dict]] = None,
-    export_engine: bool = True,
     store_path: Union[str, Path, None] = None,
+    read_store: bool = True,
 ) -> JobResult:
     """Execute one (resolved) job in this process and envelope the outcome.
 
@@ -525,18 +521,14 @@ def execute_job(
     process — which is the invariant behind serial/parallel/cached parity.
 
     ``store_path`` names an on-disk
-    :class:`~repro.jobs.store.EngineStateStore`: the fresh engine reads
-    previously exported mapping results and fixed-placement evaluations
-    directly from it on cache misses (only the keys it needs — nothing is
-    shipped up front), and what the execution newly computed is ingested
-    back afterwards.  ``engine_seed`` is the in-memory alternative: a list
-    of previously exported result entries fed through
-    :meth:`MappingEngine.import_results`.  Both preserve the purity
-    invariant because seeding only short-circuits deterministic
-    recomputation — a seeded payload is bit-identical to a cold one.
-    ``export_engine=False`` skips attaching the engine's exported mappings
-    to the envelope — the runner passes it when no cache will store them,
-    sparing ``--out`` files and memory the corpus nothing consumes.
+    :class:`~repro.jobs.store.EngineStateStore`; what the execution newly
+    computed is ingested into it afterwards.  With ``read_store`` (the
+    default) the fresh engine is also attached to it and reads previously
+    exported mapping results and fixed-placement evaluations on its cache
+    misses (only the keys it needs — nothing is shipped up front).  That
+    preserves the purity invariant because seeding only short-circuits
+    deterministic recomputation — a seeded payload is bit-identical to a
+    cold one.
     """
     try:
         executor = _EXECUTORS[job.KIND]
@@ -548,9 +540,8 @@ def execute_job(
         from repro.jobs.store import EngineStateStore
 
         store = EngineStateStore(store_path)
-        engine.attach_store(store)
-    if engine_seed:
-        engine.import_results(engine_seed)
+        if read_store:
+            engine.attach_store(store)
     started = time.perf_counter()
     payload = executor(job, engine)
     elapsed = time.perf_counter() - started
@@ -561,21 +552,15 @@ def execute_job(
         store.ingest(engine.export_results(), engine.export_evaluations())
     # Canonicalise through JSON so in-process results are indistinguishable
     # from pool-transported or cache-loaded ones (tuples become lists etc.).
-    canonical = json.loads(
-        json.dumps({
-            "payload": payload,
-            "engine_results": engine.export_results() if export_engine else [],
-        })
-    )
+    canonical = json.loads(json.dumps(payload))
     return JobResult(
         kind=job.KIND,
         spec_hash=spec_hash or job_hash(job),
         params=job.params.to_dict(),
         config=job.config.to_dict(),
-        payload=canonical["payload"],
+        payload=canonical,
         elapsed_s=elapsed,
         stats={"engine": engine.cache_info()},
-        engine_results=canonical["engine_results"],
     )
 
 
@@ -583,14 +568,14 @@ def execute_job(
 #: the store *path* is the whole seed transport — each worker reads only the
 #: keys it misses straight from disk (ROADMAP follow-up (n): no pickled
 #: corpus travels to the pool)
-_WORKER_EXPORT = True
 _WORKER_STORE_PATH: Optional[str] = None
+_WORKER_READ_STORE = True
 
 
-def _init_worker(export_engine: bool, store_path: Optional[str]) -> None:
-    global _WORKER_EXPORT, _WORKER_STORE_PATH
-    _WORKER_EXPORT = export_engine
+def _init_worker(store_path: Optional[str], read_store: bool) -> None:
+    global _WORKER_STORE_PATH, _WORKER_READ_STORE
     _WORKER_STORE_PATH = store_path
+    _WORKER_READ_STORE = read_store
 
 
 def _execute_document(document: Dict, spec_hash: str) -> Dict:
@@ -599,7 +584,7 @@ def _execute_document(document: Dict, spec_hash: str) -> Dict:
 
     return execute_job(
         job_from_dict(document), spec_hash,
-        export_engine=_WORKER_EXPORT, store_path=_WORKER_STORE_PATH,
+        store_path=_WORKER_STORE_PATH, read_store=_WORKER_READ_STORE,
     ).to_dict()
 
 
@@ -618,14 +603,15 @@ class JobRunner:
         Optional directory of the persistent result cache.  When set,
         results are stored after execution and later runs (any process)
         return them without re-computing; :attr:`executed_jobs` counts the
-        executions that actually happened.
+        executions that actually happened.  Every execution ingests the
+        engine state it computed into the cache's
+        :class:`~repro.jobs.store.EngineStateStore`, seeding or not.
     base_dir:
         Directory that relative ``path`` use-case sources resolve against
         (the CLI passes the job file's directory).
     seed_engines:
         When true (and a cache is configured), every execution's fresh
-        engine is attached to the cache's on-disk
-        :class:`~repro.jobs.store.EngineStateStore`, so a job that merely
+        engine is also attached to that store for reads, so a job that merely
         *contains* already-computed engine state — a refine job whose
         initial mapping a cached design-flow job produced, a warm
         refinement whose candidate evaluations a sibling run performed —
@@ -648,10 +634,6 @@ class JobRunner:
         self.seed_engines = seed_engines
         #: number of jobs this runner actually executed (cache misses)
         self.executed_jobs = 0
-        #: envelope files whose engine exports were already folded into the
-        #: store; later drains (the service calls run_many per file) only
-        #: sync what appeared since
-        self._seed_files: set = set()
 
     def run(self, job: JobSpec) -> JobResult:
         """Execute one job in-process (honouring the cache)."""
@@ -693,18 +675,19 @@ class JobRunner:
 
         if pending:
             store_path = None
-            if self.seed_engines and self.cache is not None:
-                # Fold engine exports carried by envelopes the store has not
-                # seen yet (legacy caches, foreign writers) into the store,
-                # then hand executions the store *path* — workers read only
-                # the keys they miss; nothing is pickled to the pool.
-                self.cache.sync_store(seen=self._seed_files)
+            if self.cache is not None:
+                if self.seed_engines:
+                    # Fold the inline exports of legacy entries the store
+                    # has not seen yet into it before engines read from it.
+                    self.cache.sync_store()
+                # Executions get the store *path* — workers read only the
+                # keys they miss; nothing is pickled to the pool.
                 store_path = str(self.cache.store.directory)
             fresh = self._execute_pending(
                 [(resolved[index], hashes[index]) for index in pending.values()],
                 workers,
                 store_path,
-                export_engine=self.cache is not None,
+                read_store=self.seed_engines,
             )
             self.executed_jobs += len(fresh)
             for result in fresh:
@@ -726,27 +709,28 @@ class JobRunner:
         work: List,
         workers: Optional[int],
         store_path: Optional[str] = None,
-        export_engine: bool = True,
+        read_store: bool = True,
     ) -> List[JobResult]:
         """Run (job, hash) pairs serially or over a process pool.
 
         ``workers >= 2`` always goes through the pool — even for a single
         job — so the transport path (pickling, worker imports) is exercised
-        whenever the caller asked for it.  Seeding travels as the store
-        *path* via the pool initializer; each worker opens the store itself
-        and reads only the keys its jobs miss.
+        whenever the caller asked for it.  The store travels as its *path*
+        via the pool initializer; each worker opens the store itself, reads
+        only the keys its jobs miss (with ``read_store``) and ingests what
+        it computed.
         """
         if not workers or workers <= 1:
             return [
                 execute_job(job, spec_hash,
-                            export_engine=export_engine, store_path=store_path)
+                            store_path=store_path, read_store=read_store)
                 for job, spec_hash in work
             ]
         documents = [(job_to_dict(job), spec_hash) for job, spec_hash in work]
         with ProcessPoolExecutor(
             max_workers=min(workers, len(work)),
             initializer=_init_worker,
-            initargs=(export_engine, store_path),
+            initargs=(store_path, read_store),
         ) as pool:
             futures = [
                 pool.submit(_execute_document, document, spec_hash)

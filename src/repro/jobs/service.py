@@ -5,7 +5,7 @@ the queue.  Producers submit work by dropping job-spec JSON files (any shape
 :func:`repro.jobs.spec.load_jobs` accepts) into an *inbox*; a
 :class:`JobDirectoryService` tails the inbox and drives every submitted file
 through the :class:`~repro.jobs.runner.JobRunner` — with its process pool,
-its persistent :class:`~repro.jobs.cache.JobCache` and cache-seeded engines.
+its persistent :class:`~repro.jobs.cache.JobCache` and store-seeded engines.
 
 Everything lives inside the inbox directory::
 
@@ -13,7 +13,7 @@ Everything lives inside the inbox directory::
     INBOX/running/         claimed by a service instance, execution in flight
     INBOX/done/            spec files whose results were written
     INBOX/failed/          spec files that could not be loaded or executed
-    INBOX/results/         one JSON file of JobResult envelopes per spec file
+    INBOX/results/         one compact JSON list of JobResult envelopes per spec file
     INBOX/manifest.jsonl   rolling log: one JSON line per processed file
 
 The lifecycle contract:
@@ -74,12 +74,18 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ReproError
+from repro.jobs.cache import dumps_compact
 from repro.jobs.faults import FaultInjector, InjectedFault
-from repro.jobs.runner import JobRunner
+from repro.jobs.runner import JobResult, JobRunner
 from repro.jobs.spec import load_jobs
 from repro.ops.clock import Clock, SystemClock
 
 __all__ = ["JobDirectoryService", "inbox_status", "fleet_status"]
+
+
+def _encode_results(results: Sequence[JobResult]) -> str:
+    """A results file's text: one compact encode of the envelope list."""
+    return dumps_compact([result.to_dict() for result in results])
 
 
 def _unique_path(directory: Path, name: str) -> Path:
@@ -112,10 +118,10 @@ class JobDirectoryService:
     cache_dir:
         Directory of the persistent result cache.  Strongly recommended for
         a service: resubmitted and resumed files are answered from disk, and
-        fresh engines are seeded from the cached engine exports.
+        fresh engines are seeded from the cache's engine-state store.
     seed_engines:
-        Seed every execution's engine from the cache's exported mapping
-        results (only meaningful with ``cache_dir``; default on).
+        Attach every execution's engine to the cache's engine-state store
+        for reads (only meaningful with ``cache_dir``; default on).
     runner:
         Inject a pre-configured :class:`JobRunner` instead (overrides the
         three knobs above).
@@ -433,7 +439,7 @@ class JobDirectoryService:
         executed_before = self.runner.executed_jobs
         results = self.runner.run_many(jobs)
         executed = self.runner.executed_jobs - executed_before
-        text = json.dumps([result.to_dict() for result in results], indent=2)
+        text = _encode_results(results)
         if action == "corrupt":
             text = self._corrupt(text)
         return text, self._validated(text), executed
@@ -458,8 +464,7 @@ class JobDirectoryService:
                     os._exit(23)
                 if action == "hang":
                     time.sleep(injector.hang_s if injector is not None else 3600)
-                results = self.runner.run_many(jobs)
-                text = json.dumps([result.to_dict() for result in results], indent=2)
+                text = _encode_results(self.runner.run_many(jobs))
                 if action == "corrupt":
                     text = self._corrupt(text)
                 tmp_path.write_text(text)

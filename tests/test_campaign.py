@@ -255,6 +255,19 @@ def test_campaign_resume_executes_zero_completed_cells(tmp_path):
     assert calls == []  # no batch ever reached the job layer
 
 
+def test_campaign_settle_leaves_no_stray_temp_file(tmp_path):
+    spec = tiny_campaign()
+    runner = CampaignRunner(tmp_path / "camp")
+    runner.run(spec)
+    names = sorted(entry.name for entry in runner.cells_dir.iterdir())
+    assert len(names) == len(spec.expand())
+    assert all(name.endswith(".json") and ".tmp" not in name for name in names)
+    # record bytes keep their human-readable form
+    for entry in runner.cells_dir.iterdir():
+        text = entry.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
 def test_campaign_reports_are_byte_identical_across_runs(tmp_path):
     spec = tiny_campaign(seeds=[7])
     CampaignRunner(tmp_path / "one").run(spec)

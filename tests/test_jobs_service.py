@@ -7,10 +7,12 @@ Pins the contracts the ISSUE demands:
 * crash-safe resume — files stranded in ``running/`` are re-queued;
 * warm/cold equivalence — a ``--once`` serve run over a warm cache is
   bit-identical to the cold run (pinned fingerprints) with zero executions;
-* ROADMAP follow-up (h) — ``JobCache.seed_engine`` /
-  ``MappingEngine.import_results``: a refine or frequency job whose initial
-  mapping an earlier design-flow job computed performs **zero** mapping
-  re-evaluations (asserted on the engine's ``cache_info()`` counters).
+* ROADMAP follow-up (h) — store-seeded engines: a refine or frequency job
+  whose initial mapping an earlier design-flow job computed performs
+  **zero** mapping re-evaluations (asserted on the engine's ``cache_info()``
+  counters); the cache's engine-state store is the only warm-start path;
+* envelopes and cache entries are compact, schema-tagged JSON without
+  inline engine state, and legacy (untagged) entries still hit.
 """
 
 from __future__ import annotations
@@ -251,19 +253,22 @@ def test_jobcache_seed_engine_hits_for_contained_mapping(tmp_path):
     JobRunner(cache_dir=cache_dir).run(DesignFlowJob(use_cases=SPREAD10))
 
     cache = JobCache(cache_dir)
-    assert cache.engine_exports(), "cached envelopes must carry engine exports"
+    assert cache.store.stats()["results"] >= 1, "the store must hold the mapping"
     engine = MappingEngine()
-    assert cache.seed_engine(engine) >= 1
+    engine.attach_store(cache.store)
 
     design = generate_benchmark("spread", 10, seed=3)
     result = engine.map(design)
     info = engine.cache_info()
     assert info["result_hits"] == 1
     assert info["result_misses"] == 0
+    assert info["imported_results"] == 1
     from repro.io.serialization import mapping_fingerprint
     assert mapping_fingerprint(result) == SPREAD10_FINGERPRINT
-    # seeding is idempotent: re-seeding materialises nothing new
-    assert cache.seed_engine(engine) == 0
+    # a second map of the same design is an in-memory hit, not a store read
+    engine.map(design)
+    assert engine.cache_info()["imported_results"] == 1
+    assert engine.cache_info()["result_misses"] == 0
 
 
 def test_import_results_skips_other_operating_points_until_sibling_matches():
@@ -288,27 +293,80 @@ def test_import_results_skips_other_operating_points_until_sibling_matches():
 
 
 def test_seeded_envelopes_do_not_reexport_the_seed_corpus(tmp_path):
-    """A seeded engine exports only what it computed, so the cache's seed
+    """A seeded engine exports only what it computed, so the store's
     corpus stays proportional to distinct mappings, not O(jobs^2)."""
     cache_dir = tmp_path / "cache"
     runner = JobRunner(cache_dir=cache_dir, seed_engines=True)
-    flow = runner.run(DesignFlowJob(use_cases=SPREAD10))
-    assert len(flow.engine_results) == 1
+    runner.run(DesignFlowJob(use_cases=SPREAD10))
+    store = JobCache(cache_dir).store
+    assert store.stats()["results"] == 1
 
     warm = JobRunner(cache_dir=cache_dir, seed_engines=True)
     refine = warm.run(RefineJob(use_cases=SPREAD10, iterations=8, seed=0))
     assert refine.stats["engine"]["imported_results"] >= 1
-    # the imported initial mapping is not echoed back into the envelope
-    assert refine.engine_results == []
-    # ...so the store-wide corpus still holds exactly one mapping
-    assert len(JobCache(cache_dir).engine_exports()) == 1
+    # the imported initial mapping is not ingested again: the store still
+    # holds exactly one mapping (the refined one stays in the payload only)
+    assert store.stats()["results"] == 1
+    assert "engine_results" not in refine.to_dict()
 
 
 def test_envelopes_without_a_cache_skip_engine_exports():
-    # nothing will ever consume them, so --out files and memory stay lean
+    # envelopes never carry engine state, with or without a cache
     result = JobRunner().run(WorstCaseJob(use_cases=SPREAD3))
-    assert result.engine_results == []
+    assert "engine_results" not in result.to_dict()
     assert result.payload["mapped"] is True
+
+
+def _is_envelope(document):
+    return isinstance(document, dict) and "spec_hash" in document
+
+
+@pytest.mark.parametrize("job_timeout_s", [None, 60.0], ids=["in-process", "isolated"])
+def test_serve_results_and_cache_entries_are_compact_tagged_json(tmp_path, job_timeout_s):
+    inbox = tmp_path / "inbox"
+    service = JobDirectoryService(inbox, cache_dir=tmp_path / "cache",
+                                  job_timeout_s=job_timeout_s)
+    save_job(WorstCaseJob(use_cases=SPREAD3), inbox / "worst.json")
+    (record,) = service.run_once()
+    assert record["status"] == "done"
+    cache = service.runner.cache
+    texts = [(inbox / record["results"]).read_text()]
+    texts += [cache.path_for(spec_hash).read_text() for spec_hash in record["spec_hashes"]]
+    documents = []
+    for text in texts:
+        document = json.loads(text)
+        # compact: exactly the C encoder's output without whitespace
+        assert text == json.dumps(document, separators=(",", ":"))
+        documents += document if isinstance(document, list) else [document]
+    assert len(documents) == 2
+    for document in documents:
+        assert document["schema"] == 2
+        assert "engine_results" not in document
+
+
+def test_cache_hit_file_costs_one_encode_of_its_envelope_list(tmp_path, monkeypatch):
+    inbox = tmp_path / "inbox"
+    service = JobDirectoryService(inbox, cache_dir=tmp_path / "cache")
+    save_job(DesignFlowJob(use_cases=SPREAD3), inbox / "cold.json")
+    service.run_once()
+    save_job(DesignFlowJob(use_cases=SPREAD3), inbox / "hit.json")
+
+    envelope_lists, single_envelopes = [], []
+    original = json.dumps
+
+    def counting_dumps(document, *args, **kwargs):
+        text = original(document, *args, **kwargs)
+        if isinstance(document, list) and document and all(map(_is_envelope, document)):
+            envelope_lists.append(text)
+        elif _is_envelope(document):
+            single_envelopes.append(text)
+        return text
+
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    (record,) = service.run_once()
+    assert record["cached"] == 1 and record["executed"] == 0
+    assert len(envelope_lists) == 1 and single_envelopes == []
+    assert envelope_lists[0] == (inbox / record["results"]).read_text()
 
 
 def test_recovery_runs_once_per_instance_not_every_drain(tmp_path):

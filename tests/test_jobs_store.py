@@ -329,8 +329,8 @@ def test_warm_refine_job_performs_zero_candidate_reevaluations(tmp_path):
     cold = JobRunner().run(RefineJob(use_cases=SPREAD10, iterations=6, seed=0))
     assert warm.payload == cold.payload
     assert warm.payload["initial_fingerprint"] == SPREAD10_FINGERPRINT
-    # and the store-fed envelope does not re-export the imported corpus
-    assert warm.engine_results == []
+    # and the envelope carries no engine state: the store is the only corpus
+    assert "engine_results" not in warm.to_dict()
 
 
 def test_warm_refine_job_over_the_worker_pool(tmp_path):
@@ -358,23 +358,117 @@ def test_jobcache_delegates_seed_corpus_to_store(tmp_path):
     cache = JobCache(cache_dir)
     assert cache.store.directory == cache_dir / "engine-state"
     assert cache.store.stats()["results"] >= 1
-    # seed_engine attaches the store: a fresh engine reads from it keyed
+    # an engine attached to the store reads the mapping from it keyed
     engine = MappingEngine()
-    cache.seed_engine(engine)
-    assert engine._store is not None
-    # sync_store is idempotent (envelope exports already ingested)
+    engine.attach_store(cache.store)
+    engine.worst_case(SPREAD3.build())
+    assert engine.cache_info()["imported_results"] == 1
+    # sync_store has nothing to fold: schema-2 entries carry no exports
     synced = cache.sync_store()
     assert synced["results"] == 0
 
 
+def _legacy_envelope():
+    """A schema-1 design-flow entry as older writers left it: untagged, with
+    the executing engine's exports inline as ``engine_results``."""
+    engine = MappingEngine()
+    engine.map(SPREAD3.build())
+    fresh = JobRunner().run(DesignFlowJob(use_cases=SPREAD3))
+    document = fresh.to_dict()
+    del document["schema"]
+    document["engine_results"] = engine.export_results()
+    return fresh, document
+
+
 def test_sync_store_folds_legacy_envelopes_into_the_store(tmp_path):
     cache_dir = tmp_path / "cache"
-    # a writer with seeding off stores envelopes but never touches the store
-    JobRunner(cache_dir=cache_dir).run(WorstCaseJob(use_cases=SPREAD3))
+    result, document = _legacy_envelope()
+    assert len(document["engine_results"]) == 1
     cache = JobCache(cache_dir)
+    cache.path_for(result.spec_hash).write_text(json.dumps(document, indent=2))
     assert cache.store.stats()["results"] == 0
     assert cache.sync_store()["results"] == 1
     assert cache.store.stats()["results"] == 1
+    # a later sync does not re-read the entry, and re-ingesting is a no-op
+    assert cache.sync_store()["results"] == 0
+    assert JobCache(cache_dir).sync_store()["results"] == 0
+    # a seeding runner folds it in before executing, so the legacy export
+    # warm-starts a refine job whose initial mapping it contains
+    warm = JobRunner(cache_dir=tmp_path / "warm", seed_engines=True)
+    warm.cache.path_for(result.spec_hash).write_text(json.dumps(document, indent=2))
+    refine = warm.run(RefineJob(use_cases=SPREAD3, iterations=4, seed=0))
+    assert refine.stats["engine"]["result_misses"] == 0
+    assert refine.stats["engine"]["imported_results"] == 1
+
+
+def test_sync_store_skips_entries_the_cache_wrote_itself(tmp_path, monkeypatch):
+    runner = JobRunner(cache_dir=tmp_path / "cache", seed_engines=True)
+    result = runner.run(WorstCaseJob(use_cases=SPREAD3))
+    entry = runner.cache.path_for(result.spec_hash)
+    reads = []
+    original = type(entry).read_text
+
+    def recording_read_text(path, *args, **kwargs):
+        reads.append(path.name)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(type(entry), "read_text", recording_read_text)
+    # its own entries carry no exports: the writer never re-parses them
+    assert runner.cache.sync_store()["results"] == 0
+    assert reads == []
+    # a fresh instance reads a foreign entry once, then never again
+    cache = JobCache(tmp_path / "cache")
+    cache.sync_store()
+    cache.sync_store()
+    assert reads == [entry.name]
+
+
+def test_legacy_indented_cache_entry_still_hits_with_identical_payload(tmp_path):
+    cache_dir = tmp_path / "cache"
+    result, document = _legacy_envelope()
+    JobCache(cache_dir).path_for(result.spec_hash).write_text(
+        json.dumps(document, indent=2)
+    )
+    runner = JobRunner(cache_dir=cache_dir, seed_engines=True)
+    hit = runner.run(DesignFlowJob(use_cases=SPREAD3))
+    assert hit.cached is True and runner.executed_jobs == 0
+    assert hit.payload == result.payload
+    assert runner.cache.hits == 1
+    # re-published envelopes drop the legacy corpus and carry the tag
+    assert hit.to_dict()["schema"] == 2
+    assert "engine_results" not in hit.to_dict()
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda document: dict(document, schema=3),
+    lambda document: dict(document, schema="2"),
+    lambda document: [document],
+], ids=["newer-schema", "non-integer-schema", "non-object"])
+def test_cache_entry_this_reader_cannot_read_is_a_miss(tmp_path, mangle):
+    cache_dir = tmp_path / "cache"
+    result = JobRunner().run(WorstCaseJob(use_cases=SPREAD3))
+    document = mangle(result.to_dict())
+    JobCache(cache_dir).path_for(result.spec_hash).write_text(json.dumps(document))
+    runner = JobRunner(cache_dir=cache_dir)
+    rerun = runner.run(WorstCaseJob(use_cases=SPREAD3))
+    assert rerun.cached is False and runner.executed_jobs == 1
+    assert runner.cache.misses == 1
+    assert rerun.payload == result.payload
+    # the re-execution overwrote the entry with one this reader understands
+    assert json.loads(runner.cache.path_for(result.spec_hash).read_text())["schema"] == 2
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_cached_runner_without_seeding_still_fills_the_store(tmp_path, workers):
+    cache_dir = tmp_path / "cache"
+    writer = JobRunner(cache_dir=cache_dir, seed_engines=False, workers=workers)
+    writer.run_many([DesignFlowJob(use_cases=SPREAD3)])
+    assert writer.cache.store.stats()["results"] == 1
+    # ...so a seeding sibling reuses the writer's mapping
+    warm = JobRunner(cache_dir=cache_dir, seed_engines=True)
+    refine = warm.run(RefineJob(use_cases=SPREAD3, iterations=4, seed=0))
+    assert refine.stats["engine"]["result_misses"] == 0
+    assert refine.stats["engine"]["imported_results"] >= 1
 
 
 # --------------------------------------------------------------------------- #

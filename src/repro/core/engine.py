@@ -42,14 +42,13 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Un
 from repro.core.mapping import (
     GroupRequirement,
     GroupSpec,
-    PairPlacement,
     UnifiedMapper,
     _Worklist,
 )
-from repro.core.result import MappingResult, UseCaseConfiguration
+from repro.core.result import FlowAllocation, MappingResult, UseCaseConfiguration
 from repro.core.spec import CompiledSpec, compile_spec
 from repro.core.switching import SwitchingGraph
-from repro.core.usecase import UseCaseSet
+from repro.core.usecase import Flow, UseCaseSet
 from repro.exceptions import MappingError, ReproError
 from repro.noc.slot_table import rotated_start_slots
 from repro.noc.topology import Topology
@@ -113,19 +112,68 @@ class _RequirementBundle:
         }
 
 
-def _outcome_to_doc(outcome: Optional[List[PairPlacement]]) -> Optional[str]:
+class PairPlacement:
+    """One aggregated pair of an evaluated group, materialised for assembly.
+
+    Built from a cached ``(switch path, starting slots)`` decision only when
+    a placement is *accepted* and assembled into a :class:`MappingResult`:
+    it carries the ``bandwidth x hops`` cost terms of the pair's member
+    flows and the ingredients of their :class:`FlowAllocation` records,
+    which are built on first use and memoised for later assemblies of the
+    same cached evaluation.
+    """
+
+    __slots__ = ("members", "switch_path", "link_slots", "cost_terms", "_allocations")
+
+    def __init__(
+        self,
+        members: Tuple[Tuple[str, Flow], ...],
+        switch_path: Tuple[int, ...],
+        link_slots: Mapping,
+        cost_terms: Tuple[float, ...],
+    ) -> None:
+        self.members = members
+        self.switch_path = switch_path
+        self.link_slots = link_slots
+        self.cost_terms = cost_terms
+        self._allocations: Optional[Tuple[Tuple[str, FlowAllocation], ...]] = None
+
+    def allocations(self) -> Tuple[Tuple[str, "FlowAllocation"], ...]:
+        """(member name, allocation) pairs, built on first use and memoised."""
+        cached = self._allocations
+        if cached is None:
+            switch_path = self.switch_path
+            link_slots = self.link_slots
+            cached = tuple(
+                (
+                    name,
+                    FlowAllocation(
+                        use_case=name,
+                        flow=flow,
+                        switch_path=switch_path,
+                        link_slots=dict(link_slots),
+                    ),
+                )
+                for name, flow in self.members
+            )
+            self._allocations = cached
+        return cached
+
+
+def _outcome_to_doc(
+    pairs: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]],
+) -> Optional[str]:
     """Serialise one cached group evaluation (``None`` = cached infeasibility).
 
-    Only the mapper's irreducible *decisions* are stored — the switch path
-    and the starting TDMA slots of each aggregated pair.  Everything else a
-    :class:`PairPlacement` carries is derivable: ``evaluate_group_fixed``
-    emits exactly one entry per plan item, in plan order, with the plan's
-    own member records and ``cost_terms = bandwidth × hops`` over them, and
-    the Æthereal pipelined slot assignment is the per-hop rotation of the
-    starting slots along the path (``ResourceState._plan``'s construction) —
-    so the import side reattaches members from the live bundle and
-    recomputes terms and per-link slots bit-identically instead of
-    round-tripping them.
+    Only the evaluator's irreducible *decisions* are stored — the switch
+    path and the starting TDMA slots of each aggregated pair, which is
+    exactly what :meth:`UnifiedMapper.evaluate_group_fixed` returns.
+    Everything a :class:`PairPlacement` carries is derivable: the import
+    side reattaches members from the live bundle plan (one decision per plan
+    item, in plan order) and recomputes ``cost_terms = bandwidth × hops`` and
+    the Æthereal pipelined per-link slots (the per-hop rotation of the
+    starting slots along the path, ``ResourceState._plan``'s construction)
+    bit-identically instead of round-tripping them.
 
     The whole outcome packs into **one string** — ``;``-separated pair
     segments of ``path:starts`` dot-separated ints (e.g.
@@ -133,18 +181,12 @@ def _outcome_to_doc(outcome: Optional[List[PairPlacement]]) -> Optional[str]:
     a few hundred JSON strings instead of hundreds of thousands of number
     tokens; :func:`_parse_outcome_doc` unpacks it with C-speed splits.
     """
-    if outcome is None:
+    if pairs is None:
         return None
-    segments = []
-    for entry in outcome:
-        path = entry.switch_path
-        starts: Tuple[int, ...] = ()
-        if entry.link_slots:
-            starts = entry.link_slots[(path[0], path[1])]
-        segments.append(
-            ".".join(map(str, path)) + ":" + ".".join(map(str, starts))
-        )
-    return ";".join(segments)
+    return ";".join(
+        ".".join(map(str, path)) + ":" + ".".join(map(str, starts))
+        for path, starts in pairs
+    )
 
 
 def _parse_outcome_doc(
@@ -198,12 +240,11 @@ def _outcome_from_pairs(
 ) -> List[PairPlacement]:
     """Rebuild one group evaluation against its bundle's plan (see above).
 
-    ``pairs`` is :func:`_parse_outcome_doc` output (already validated
-    against the plan length); ``plan`` is the bundle's ``group_plans``
-    slice for the group — members are taken from it by position (they are
-    the *same* objects a cold evaluation would use) and cost terms /
-    per-link slots are recomputed with the exact operations the cold path
-    performs.
+    ``pairs`` holds one ``(path, starts)`` decision per plan item — the
+    evaluator's output or :func:`_parse_outcome_doc`'s; ``plan`` is the
+    bundle's ``group_plans`` slice for the group — members are taken from
+    it by position and cost terms / per-link slots are recomputed with the
+    exact operations the general mapping path performs.
     """
     outcome: List[PairPlacement] = []
     for (path, starts), (_pair_req, members) in zip(pairs, plan):
@@ -220,35 +261,34 @@ def _outcome_from_pairs(
 
 
 class _GroupOutcome:
-    """One group's feasible fixed-placement evaluation, possibly imported.
+    """One group's feasible fixed-placement evaluation, computed or imported.
 
-    Wraps either the eagerly computed :class:`PairPlacement` list (a cold
-    evaluation) or the serialised document plus its bundle plan (an imported
-    one).  Imported entries stay documents until something actually needs
-    the live objects — the refiners *screen* hundreds of candidates through
-    :meth:`MappingEngine.placement_cost`, which only needs the per-use-case
-    cost sums :meth:`name_sums` derives with plain float arithmetic, and
-    *materialise* only accepted moves (:attr:`entries`).
+    Holds the evaluator's ``(switch path, starting slots)`` decisions plus
+    the bundle plan they answer.  The live objects are built only when
+    something needs them — the refiners *screen* hundreds of candidates
+    through :meth:`MappingEngine.placement_cost`, which only needs the
+    per-use-case cost sums :meth:`name_sums` derives with plain float
+    arithmetic, and *materialise* only accepted moves (:attr:`entries`).
 
     ``name_sums`` is memoised per outcome, so revisited candidates skip the
-    accumulation entirely — computed and imported evaluations alike.
+    accumulation entirely.
     """
 
-    __slots__ = ("_entries", "_doc", "_plan", "_size", "_sums")
+    __slots__ = ("pairs", "_plan", "_size", "_entries", "_sums")
 
-    def __init__(self, entries=None, doc=None, plan=None, size=0):
-        self._entries = entries
-        self._doc = doc
+    def __init__(self, pairs, plan, size):
+        self.pairs = pairs
         self._plan = plan
         self._size = size
+        self._entries = None
         self._sums = None
 
     @property
     def entries(self) -> List[PairPlacement]:
-        """The live placement list (imported documents rebuild on first use)."""
+        """The live placement list, rebuilt from the decisions on first use."""
         cached = self._entries
         if cached is None:
-            cached = _outcome_from_pairs(self._doc, self._plan, self._size)
+            cached = _outcome_from_pairs(self.pairs, self._plan, self._size)
             self._entries = cached
         return cached
 
@@ -257,31 +297,19 @@ class _GroupOutcome:
 
         Replicates the historical global walk's accumulation exactly: each
         name starts at integer ``0`` and adds its ``bandwidth × hops`` terms
-        in plan order (every use case belongs to exactly one group, so the
-        interleaved global walk performed precisely these additions for it).
+        over the plan's member flows in plan order (every use case belongs
+        to exactly one group, so the interleaved global walk performed
+        precisely these additions for it) — the same floats
+        :class:`PairPlacement` cost terms hold, without building any.
         """
         cached = self._sums
         if cached is not None:
             return cached
         sums: Dict[str, float] = {name: 0 for name in member_names}
-        entries = self._entries
-        if entries is not None:
-            for entry in entries:
-                terms = entry.cost_terms
-                members = entry.members
-                for position in range(len(terms)):
-                    name = members[position][0]
-                    sums[name] = sums[name] + terms[position]
-        else:
-            # Imported document: the terms are bandwidth × hops over the
-            # plan's member flows — same floats the cold path produces,
-            # without building any PairPlacement.
-            for (path, _starts), (_pair_req, members) in zip(
-                self._doc, self._plan
-            ):
-                hops = len(path) - 1
-                for name, flow in members:
-                    sums[name] = sums[name] + flow.bandwidth * hops
+        for (path, _starts), (_pair_req, members) in zip(self.pairs, self._plan):
+            hops = len(path) - 1
+            for name, flow in members:
+                sums[name] = sums[name] + flow.bandwidth * hops
         cached = tuple(sums[name] for name in member_names)
         self._sums = cached
         return cached
@@ -554,44 +582,57 @@ class MappingEngine:
     # ------------------------------------------------------------------ #
     # fixed-placement evaluation (the refinement hot path)
     # ------------------------------------------------------------------ #
-    def _evaluate_groups(
-        self,
-        bundle: _RequirementBundle,
-        topology: Topology,
-        placement: Mapping[str, int],
-        only: Optional[FrozenSet[int]] = None,
-    ) -> Dict[int, List]:
-        """Evaluate (or recall) every group under a complete placement.
+    def _placement_error(
+        self, topology: Topology, placement: Mapping[str, int]
+    ) -> Optional[MappingError]:
+        """The global validation of a complete placement, as an error or ``None``.
 
-        Validates the placement globally (switch indices exist, switches are
-        alive, per-switch core limit holds — mirroring the checks the
-        per-state attachments perform in the general path), then evaluates
-        each group against the memoised (group, endpoint-placement) cache.
-        ``only`` restricts evaluation to a subset of group ids — the repair
-        path evaluates just the failure-affected groups and splices the
-        untouched groups' baseline allocations back in.  Raises
-        :class:`MappingError` when the placement or any evaluated group is
-        infeasible.
+        Checks that switch indices exist (an unknown index raises through
+        ``topology.switch``), that switches are alive and that the
+        per-switch core limit holds — mirroring the checks the per-state
+        attachments perform in the general path.  :meth:`_evaluate_groups`
+        raises the returned error; the candidate screen treats it as an
+        infeasible candidate.
         """
         limit = self.params.max_cores_per_switch
         occupancy: Dict[int, int] = {}
         for core, switch in placement.items():
             topology.switch(switch)
             if topology.is_switch_down(switch):
-                raise MappingError(
+                return MappingError(
                     f"placement puts core {core!r} on failed switch {switch} "
                     f"of {topology.name!r}",
                     largest_topology=topology.name,
                 )
             occupancy[switch] = occupancy.get(switch, 0) + 1
             if limit is not None and occupancy[switch] > limit:
-                raise MappingError(
+                return MappingError(
                     f"placement is infeasible on topology {topology.name!r}",
                     largest_topology=topology.name,
                 )
+        return None
 
+    def _evaluate_groups(
+        self,
+        bundle: _RequirementBundle,
+        topology: Topology,
+        placement: Mapping[str, int],
+        only: Optional[FrozenSet[int]] = None,
+    ) -> Dict[int, _GroupOutcome]:
+        """Evaluate (or recall) every group under a complete placement.
+
+        Validates the placement globally (:meth:`_placement_error`), then
+        recalls each group from the memoised (group, endpoint-placement)
+        caches or evaluates it.  ``only`` restricts evaluation to a subset
+        of group ids — the repair path evaluates just the failure-affected
+        groups and splices the untouched groups' baseline allocations back
+        in.  Raises :class:`MappingError` when the placement or any
+        evaluated group is infeasible.
+        """
+        error = self._placement_error(topology, placement)
+        if error is not None:
+            raise error
         core_names = bundle.spec_core_names
-        evals = self._group_evals
         outcomes: Dict[int, _GroupOutcome] = {}
         for requirement in bundle.requirements:
             group_id = requirement.group_id
@@ -601,36 +642,13 @@ class MappingEngine:
                 placement[core_names[index]]
                 for index in bundle.group_endpoints[group_id]
             )
-            key = (id(bundle), id(topology), group_id, projection)
-            entry = evals.get(key)
-            if entry is not None and entry[0] is bundle and entry[1] is topology:
-                evals.move_to_end(key)
-                self._counters["evaluation_hits"] += 1
-                outcome = entry[2]
-            else:
-                imported = self._imported_evaluation(
-                    bundle, topology, group_id, projection
+            found, outcome = self._recall_group_outcome(
+                bundle, topology, group_id, projection
+            )
+            if not found:
+                outcome = self._compute_group_outcome(
+                    bundle, topology, group_id, projection, placement
                 )
-                if imported is not None:
-                    self._counters["evaluation_hits"] += 1
-                    self._counters["imported_evaluations"] += 1
-                    pairs = imported[0]
-                    outcome = None if pairs is None else _GroupOutcome(
-                        doc=pairs,
-                        plan=bundle.group_plans[group_id],
-                        size=self.params.slot_table_size,
-                    )
-                else:
-                    self._counters["evaluation_misses"] += 1
-                    computed = self.mapper.evaluate_group_fixed(
-                        topology, group_id, bundle.group_plans[group_id], placement
-                    )
-                    outcome = None if computed is None else _GroupOutcome(
-                        entries=computed
-                    )
-                evals[key] = (bundle, topology, outcome)
-                if len(evals) > self._EVAL_CACHE_SIZE:
-                    evals.popitem(last=False)
             if outcome is None:
                 raise MappingError(
                     f"placement is infeasible on topology {topology.name!r}",
@@ -694,9 +712,9 @@ class MappingEngine:
         The batch entry point of the refinement hot path: the returned
         screen is bound to this engine plus the compiled (spec, grouping)
         bundle and topology, answers exact candidate costs through the same
-        cache hierarchy as :meth:`placement_cost` (its kernel evaluations
-        are admitted to the evaluation cache, so exports, warm starts and
-        the final :meth:`evaluate_placement` are unchanged), and batches
+        cache hierarchy and the same group evaluator as
+        :meth:`placement_cost` (so exports, warm starts and the final
+        :meth:`evaluate_placement` are unchanged), and batches
         admissibility/lower-bound screening over whole neighbour sets.
         ``screen_hits`` / ``screen_misses`` in :meth:`cache_info` account
         for its traffic.
@@ -717,13 +735,12 @@ class MappingEngine:
     ) -> Tuple[bool, Optional[_GroupOutcome]]:
         """Recall one group evaluation without computing it.
 
-        The recall half of :meth:`_evaluate_groups`'s per-requirement body,
-        for the screening layer: consult the in-memory evaluation cache,
-        then the imported-evaluation index / attached store, with exactly
-        the counter increments the unscreened path performs.  Returns
-        ``(True, outcome)`` on a hit (``outcome is None`` is a recalled
-        infeasibility) and ``(False, None)`` when the key has never been
-        evaluated — the screen's kernel computes it then.
+        Consults the in-memory evaluation cache, then the imported-evaluation
+        index / attached store, counting ``evaluation_hits`` (and
+        ``imported_evaluations``).  Returns ``(True, outcome)`` on a hit
+        (``outcome is None`` is a recalled infeasibility) and
+        ``(False, None)`` when the key has never been evaluated — the caller
+        computes it then with :meth:`_compute_group_outcome`.
         """
         key = (id(bundle), id(topology), group_id, projection)
         evals = self._group_evals
@@ -737,18 +754,29 @@ class MappingEngine:
             return False, None
         self._counters["evaluation_hits"] += 1
         self._counters["imported_evaluations"] += 1
-        pairs = imported[0]
-        outcome = None if pairs is None else _GroupOutcome(
-            doc=pairs,
-            plan=bundle.group_plans[group_id],
-            size=self.params.slot_table_size,
+        return True, self._cache_outcome(
+            bundle, topology, group_id, projection, imported[0]
         )
-        evals[key] = (bundle, topology, outcome)
-        if len(evals) > self._EVAL_CACHE_SIZE:
-            evals.popitem(last=False)
-        return True, outcome
 
-    def _admit_screened_outcome(
+    def _compute_group_outcome(
+        self,
+        bundle: _RequirementBundle,
+        topology: Topology,
+        group_id: int,
+        projection: Tuple[int, ...],
+        placement: Mapping[str, int],
+    ) -> Optional[_GroupOutcome]:
+        """Evaluate one group with the mapper and admit it to the cache.
+
+        Counts an ``evaluation_miss``; ``None`` is an infeasible group.
+        """
+        self._counters["evaluation_misses"] += 1
+        pairs = self.mapper.evaluate_group_fixed(
+            topology, group_id, bundle.group_plans[group_id], placement
+        )
+        return self._cache_outcome(bundle, topology, group_id, projection, pairs)
+
+    def _cache_outcome(
         self,
         bundle: _RequirementBundle,
         topology: Topology,
@@ -756,22 +784,9 @@ class MappingEngine:
         projection: Tuple[int, ...],
         pairs: Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]],
     ) -> Optional[_GroupOutcome]:
-        """Admit one screening-kernel evaluation to the evaluation cache.
-
-        ``pairs`` is the kernel's serialised ``(path, starts)`` decision
-        list (``None`` = infeasible) — the exact shape imported documents
-        parse to, so the cached outcome materialises, exports and costs
-        bit-identically to a :meth:`_evaluate_groups` computation of the
-        same key.  A kernel evaluation *is* a computed evaluation, so it
-        counts as an ``evaluation_miss`` (and as a ``screen_miss``, its
-        screening-layer attribution).
-        """
-        self._counters["evaluation_misses"] += 1
-        self._counters["screen_misses"] += 1
+        """Store one group's ``(path, starts)`` decisions (``None`` = infeasible)."""
         outcome = None if pairs is None else _GroupOutcome(
-            doc=pairs,
-            plan=bundle.group_plans[group_id],
-            size=self.params.slot_table_size,
+            pairs, bundle.group_plans[group_id], self.params.slot_table_size
         )
         evals = self._group_evals
         evals[(id(bundle), id(topology), group_id, projection)] = (
@@ -785,20 +800,23 @@ class MappingEngine:
     def _walk_outcomes(
         bundle: _RequirementBundle,
         outcomes: Mapping[int, _GroupOutcome],
-        configurations: Dict[str, UseCaseConfiguration],
-    ) -> Tuple[float, Dict[str, UseCaseConfiguration]]:
+    ) -> Tuple[Dict[str, UseCaseConfiguration], Dict[str, float]]:
         """Walk group outcomes in the exact global allocation order.
 
-        The assembly loop behind :meth:`evaluate_placement`: per-use-case
-        cost sums build up in the order the monolithic path records
-        allocations (float addition order is part of the bit-identical
-        contract) while the allocations are materialised into
-        ``configurations``.  Imported outcomes rebuild their live entries
-        here — only *accepted* candidates ever reach this walk.
-        Returns the total communication cost and the configurations map.
+        The assembly loop behind :meth:`evaluate_placement` and the repair
+        splice: for the groups in ``outcomes`` (all of them, or the subset
+        a repair re-evaluated), allocations are materialised into
+        per-use-case configurations and per-use-case cost sums build up in
+        the order the monolithic path records allocations (float addition
+        order is part of the bit-identical contract).  Only *accepted*
+        candidates ever reach this walk.  Returns the configurations and
+        the per-name cost sums, both in requirement/member order.
         """
+        configurations: Dict[str, UseCaseConfiguration] = {}
         cost_sums: Dict[str, float] = {}
         for requirement in bundle.requirements:
+            if requirement.group_id not in outcomes:
+                continue
             for name in requirement.member_names:
                 cost_sums[name] = 0
                 configurations[name] = UseCaseConfiguration(
@@ -808,6 +826,8 @@ class MappingEngine:
         cursor: Dict[int, int] = {gid: 0 for gid in outcomes}
         for pair_req in bundle.order:
             group_id = pair_req.group_id
+            if group_id not in cursor:
+                continue
             index = cursor[group_id]
             cursor[group_id] = index + 1
             entry = entry_lists[group_id][index]
@@ -815,7 +835,7 @@ class MappingEngine:
             for position, (name, allocation) in enumerate(entry.allocations()):
                 configurations[name].add(allocation)
                 cost_sums[name] = cost_sums[name] + terms[position]
-        return sum(cost_sums.values()), configurations
+        return configurations, cost_sums
 
     def evaluate_placement(
         self,
@@ -851,7 +871,8 @@ class MappingEngine:
         # Reassemble the per-use-case configurations in the exact global
         # order the general path records allocations in (float accumulations
         # downstream observe insertion order).
-        total_cost, configurations = self._walk_outcomes(bundle, outcomes, {})
+        configurations, cost_sums = self._walk_outcomes(bundle, outcomes)
+        total_cost = sum(cost_sums.values())
         result = MappingResult(
             method=method_name,
             topology=topology,
@@ -901,9 +922,9 @@ class MappingEngine:
         ``screen_hits`` / ``screen_misses``
             Traffic of the batched candidate screen (:meth:`screener`):
             group projections answered from a screen's run-local memo /
-            computed by its vectorised kernel.  Every ``screen_miss`` is
-            also counted as an ``evaluation_miss`` (the kernel evaluation
-            *is* the computation, admitted to the evaluation cache);
+            computed by :meth:`UnifiedMapper.evaluate_group_fixed` on the
+            screen's behalf.  Every ``screen_miss`` is also counted as an
+            ``evaluation_miss`` (it is one group evaluation);
             projections a screen recalls from the caches above count as
             ``evaluation_hits`` like any other recall.  A refinement run
             that used screening at all reports ``screen_hits +
@@ -1065,8 +1086,8 @@ class MappingEngine:
         lazy-index, never-re-export discipline as :meth:`import_results`:
         entries whose context matches this engine's operating point are
         admitted to a key-addressed index (no deserialisation up front) and
-        rebuilt into live :class:`~repro.core.mapping.PairPlacement` lists
-        only when an evaluation miss actually asks for their key; the raw
+        parsed into ``(path, starts)`` decisions only when an evaluation
+        miss actually asks for their key; the raw
         documents are retained and offered to every :meth:`with_params`
         sibling.  Materialised entries are excluded from
         :meth:`export_evaluations`, so a seeded engine never re-exports the
@@ -1222,7 +1243,7 @@ class MappingEngine:
                     "group_id": group_id,
                     "projection": list(projection),
                     "outcome": _outcome_to_doc(
-                        None if outcome is None else outcome.entries
+                        None if outcome is None else outcome.pairs
                     ),
                 }
             )

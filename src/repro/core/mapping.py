@@ -38,7 +38,12 @@ from repro.core.usecase import Flow, TrafficClass, UseCase, UseCaseSet
 from repro.exceptions import ConfigurationError, MappingError, ResourceError, SpecificationError
 from repro.noc.resources import INFEASIBLE_COST, ResourceState
 from repro.noc.routing import PathSelector
-from repro.noc.slot_table import slots_needed_cached
+from repro.noc.slot_table import (
+    hop_mask_matrix,
+    lowest_set_bits,
+    select_backend,
+    slots_needed_cached,
+)
 from repro.noc.topology import Topology, mesh_growth_schedule
 from repro.params import MapperConfig, NoCParameters
 from repro.perf.latency import latency_hop_budget
@@ -283,52 +288,125 @@ class _AttemptAccounting:
             heapq.heappush(self.preferred, position)
 
 
-class PairPlacement:
-    """Outcome of placing one aggregated pair during fixed-placement evaluation.
+class _GroupResources:
+    """One group's residual bandwidth and TDMA slots during evaluation.
 
-    Holds what both consumers of a cached group evaluation need: the
-    ``bandwidth x hops`` cost terms (cost-only candidate screening) and the
-    ingredients of the member :class:`FlowAllocation` records, which are
-    materialised lazily — only placements that get *accepted* ever assemble
-    a full :class:`MappingResult` — and then memoised for later assemblies
-    of the same cached evaluation.
+    The per-use-case (here: per smooth-switching group) resource structure
+    of the paper, kept on lazily defaulted dicts: a link or network
+    interface never touched holds the full link capacity and an all-free
+    slot mask, exactly a freshly seeded :class:`ResourceState`.  The cost
+    and reservation checks perform the float operations of
+    ``ResourceState.path_cost`` / ``_plan`` / ``_commit`` in the same order,
+    so fixed-placement evaluation decides exactly like the general path.
     """
 
-    __slots__ = ("members", "switch_path", "link_slots", "cost_terms", "_allocations")
+    __slots__ = ("capacity", "size", "full", "hop_weight", "bandwidth_weight",
+                 "slot_weight", "link_residual", "free_masks", "ingress", "egress")
 
-    def __init__(
+    def __init__(self, params: NoCParameters, config: MapperConfig) -> None:
+        self.capacity = params.link_capacity
+        self.size = params.slot_table_size
+        self.full = (1 << self.size) - 1
+        self.hop_weight = config.hop_weight
+        self.bandwidth_weight = config.bandwidth_weight
+        self.slot_weight = config.slot_weight
+        self.link_residual: Dict[Tuple[int, int], float] = {}
+        self.free_masks: Dict[Tuple[int, int], int] = {}
+        self.ingress: Dict[str, float] = {}
+        self.egress: Dict[str, float] = {}
+
+    def admissible_starts(self, paths_links) -> List[int]:
+        """Admissible starting-slot mask per path, via the profitable backend."""
+        rows = hop_mask_matrix(self.free_masks, paths_links, self.full)
+        return select_backend(self.size, len(rows)).admissible_start_masks(rows)
+
+    def path_cost(
         self,
-        members: Tuple[Tuple[str, Flow], ...],
-        switch_path: Tuple[int, ...],
-        link_slots: Mapping,
-        cost_terms: Tuple[float, ...],
-    ) -> None:
-        self.members = members
-        self.switch_path = switch_path
-        self.link_slots = link_slots
-        self.cost_terms = cost_terms
-        self._allocations: Optional[Tuple[Tuple[str, FlowAllocation], ...]] = None
+        links: Tuple[Tuple[int, int], ...],
+        bandwidth: float,
+        guaranteed: bool,
+        threshold: float,
+    ) -> float:
+        """``ResourceState.path_cost`` on the lazy dicts."""
+        capacity = self.capacity
+        full = self.full
+        link_residual = self.link_residual
+        free_masks = self.free_masks
+        cost = self.hop_weight * len(links)
+        needed = slots_needed_cached(bandwidth, capacity, self.size) if guaranteed else 0
+        bandwidth_weight = self.bandwidth_weight
+        slot_weight = self.slot_weight
+        for link in links:
+            residual = link_residual.get(link, capacity)
+            if residual < threshold:
+                return INFEASIBLE_COST
+            cost += bandwidth_weight * (bandwidth / (residual if residual > 1e-9 else 1e-9))
+            if guaranteed:
+                free = free_masks.get(link, full).bit_count()
+                if free < needed:
+                    return INFEASIBLE_COST
+                cost += slot_weight * (needed / free)
+        return cost
 
-    def allocations(self) -> Tuple[Tuple[str, "FlowAllocation"], ...]:
-        """(member name, allocation) pairs, built on first use and memoised."""
-        cached = self._allocations
-        if cached is None:
-            switch_path = self.switch_path
-            link_slots = self.link_slots
-            cached = tuple(
-                (
-                    name,
-                    FlowAllocation(
-                        use_case=name,
-                        flow=flow,
-                        switch_path=switch_path,
-                        link_slots=dict(link_slots),
-                    ),
+    def reserve(
+        self,
+        links: Tuple[Tuple[int, int], ...],
+        bandwidth: float,
+        guaranteed: bool,
+        threshold: float,
+        source: str,
+        destination: str,
+        admissible: int,
+    ) -> Optional[Tuple[int, ...]]:
+        """``ResourceState._plan`` + ``_commit`` on the lazy dicts.
+
+        Returns the starting-slot tuple on success (empty for best-effort
+        flows and same-switch pairs), ``None`` when the reservation is
+        infeasible, with the feasibility checks in ``_plan``'s order.  The
+        endpoint-attachment checks are skipped: candidate paths start and
+        end at the endpoints' placed switches by construction.
+        """
+        capacity = self.capacity
+        ingress = self.ingress
+        egress = self.egress
+        link_residual = self.link_residual
+        if ingress.get(source, capacity) < threshold:
+            return None
+        if egress.get(destination, capacity) < threshold:
+            return None
+        for link in links:
+            if link_residual.get(link, capacity) < threshold:
+                return None
+        starts: Tuple[int, ...] = ()
+        size = self.size
+        if guaranteed and links:
+            needed = slots_needed_cached(bandwidth, capacity, size)
+            if needed > size:
+                return None
+            found = lowest_set_bits(admissible, needed)
+            if found is None:
+                return None
+            starts = found
+        ingress[source] = ingress.get(source, capacity) - bandwidth
+        egress[destination] = egress.get(destination, capacity) - bandwidth
+        for link in links:
+            link_residual[link] = link_residual.get(link, capacity) - bandwidth
+        if starts:
+            full = self.full
+            free_masks = self.free_masks
+            start_mask = 0
+            for start in starts:
+                start_mask |= 1 << start
+            for hop, link in enumerate(links):
+                rotation = hop % size
+                rotated = (
+                    start_mask
+                    if not rotation
+                    else ((start_mask << rotation) | (start_mask >> (size - rotation)))
+                    & full
                 )
-                for name, flow in self.members
-            )
-            self._allocations = cached
-        return cached
+                free_masks[link] = free_masks.get(link, full) & ~rotated
+        return starts
 
 
 class UnifiedMapper:
@@ -638,13 +716,14 @@ class UnifiedMapper:
         group_id: int,
         plan: Sequence[Tuple[_PairRequirement, Tuple[Tuple[str, Flow], ...]]],
         placement: Mapping[str, int],
-    ) -> Optional[List[PairPlacement]]:
+    ) -> Optional[List[Tuple[Tuple[int, ...], Tuple[int, ...]]]]:
         """Evaluate one configuration group under a complete core placement.
 
         ``plan`` is the group's slice of the worklist's placement sequence,
         each entry pairing the aggregated requirement with the (member name,
-        member flow) records to emit for it.  Returns one
-        :class:`PairPlacement` per plan item (in plan order), or ``None``
+        member flow) records it serves.  Returns the ``(switch path,
+        starting slots)`` decision per plan item (in plan order; the starts
+        are empty for best-effort pairs and same-switch pairs), or ``None``
         when the group cannot be mapped — exactly the decisions
         :meth:`_attempt` makes for this group when every endpoint is
         pre-placed:
@@ -652,72 +731,80 @@ class UnifiedMapper:
         * with a complete placement the group's resource state evolves
           independently of every other group, so evaluating it alone is
           exact (this is what makes per-group caching in the engine sound);
+        * the state lives in a :class:`_GroupResources` of lazily defaulted
+          dicts, so an evaluation touches only the links its candidate paths
+          visit instead of copying a topology-wide ``ResourceState``;
         * when a pair has a single candidate path, ranking by cost is
-          skipped: the reservation plan performs a strict superset of the
+          skipped: the reservation check performs a strict superset of the
           path-cost feasibility checks, so attempting the reservation
           directly accepts and rejects in exactly the same cases;
         * with several candidates, ranking by (cost, path) and trying the
           cheapest reservable candidate first replays
           ``PathSelector.select_least_cost`` exactly (its ``min`` is the
-          first element of the stable full sort).
+          first element of the stable full sort).  The admissible starting
+          slots of every ranked path come from one rotate-and-AND over the
+          candidates' hop-mask matrix.
+
+        The ``(path, starts)`` shape is the one stored evaluations use, so
+        the engine caches, exports and re-imports outcomes without
+        converting them.
         """
         selector = self._selector_for(topology)
-        state = self._pristine_for(topology).copy(name=f"group-{group_id}")
-        seen: Set[str] = set()
-        seed_items: List[Tuple[str, int]] = []
-        for req, _members in plan:
-            for core in (req.source, req.destination):
-                if core not in seen:
-                    seen.add(core)
-                    seed_items.append((core, placement[core]))
-        state.seed_cores(seed_items)
-        budgets = self._budgets_for(plan)
         candidate_paths = selector.candidate_paths
-        path_cost = state.path_cost
-        reserve_unrecorded = state.reserve_unrecorded
-        config = self.config
-        entries: List[PairPlacement] = []
-        for index, (req, members) in enumerate(plan):
+        links_of = selector.path_links
+        budgets = self._budgets_for(plan)
+        state = _GroupResources(self.params, self.config)
+        admissible_starts = state.admissible_starts
+        pairs: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        for index, (req, _members) in enumerate(plan):
             max_hops = budgets[index]
             if max_hops is not None and max_hops < 0:
                 return None
             bandwidth = req.bandwidth
             guaranteed = req.guaranteed
-            assignment = None
+            threshold = bandwidth - 1e-9
             paths = candidate_paths(placement[req.source], placement[req.destination])
+            starts: Optional[Tuple[int, ...]] = None
             if len(paths) == 1:
                 path = paths[0]
                 if max_hops is None or len(path) - 1 <= max_hops:
-                    assignment = reserve_unrecorded(
-                        req.flow_id, req.source, req.destination, path,
-                        bandwidth, guaranteed=guaranteed,
+                    links = links_of(path)
+                    admissible = state.full
+                    if guaranteed and links:
+                        admissible = admissible_starts((links,))[0]
+                    starts = state.reserve(
+                        links, bandwidth, guaranteed, threshold,
+                        req.source, req.destination, admissible,
                     )
             else:
                 ranked: List[Tuple[float, Tuple[int, ...]]] = []
                 for path in paths:
                     if max_hops is not None and len(path) - 1 > max_hops:
                         continue
-                    cost = path_cost(path, bandwidth, config, guaranteed=guaranteed)
+                    cost = state.path_cost(
+                        links_of(path), bandwidth, guaranteed, threshold
+                    )
                     if cost != INFEASIBLE_COST:
                         ranked.append((cost, path))
                 ranked.sort()
-                for _cost, path in ranked:
-                    assignment = reserve_unrecorded(
-                        req.flow_id, req.source, req.destination, path,
-                        bandwidth, guaranteed=guaranteed,
-                    )
-                    if assignment is not None:
-                        break
-            if assignment is None:
+                if ranked:
+                    if guaranteed:
+                        admissibles = admissible_starts(
+                            [links_of(path) for _cost, path in ranked]
+                        )
+                    else:
+                        admissibles = [state.full] * len(ranked)
+                    for (_cost, path), admissible in zip(ranked, admissibles):
+                        starts = state.reserve(
+                            links_of(path), bandwidth, guaranteed, threshold,
+                            req.source, req.destination, admissible,
+                        )
+                        if starts is not None:
+                            break
+            if starts is None:
                 return None
-            hops = len(path) - 1
-            entries.append(PairPlacement(
-                members=members,
-                switch_path=path,
-                link_slots=assignment,
-                cost_terms=tuple(flow.bandwidth * hops for _name, flow in members),
-            ))
-        return entries
+            pairs.append((path, starts))
+        return pairs
 
     def _attempt(
         self,

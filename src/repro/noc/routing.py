@@ -182,6 +182,8 @@ class PathSelector:
         self.config = config
         self._lazy_graph: Optional[nx.DiGraph] = None
         self._cache: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
+        #: switch path -> directed link tuple memo
+        self._links: Dict[Tuple[int, ...], Tuple[Tuple[int, int], ...]] = {}
 
     @property
     def _graph(self) -> nx.DiGraph:
@@ -222,6 +224,14 @@ class PathSelector:
                 )
         self._cache[key] = paths
         return paths
+
+    def path_links(self, path: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+        """The directed links of a candidate path, in hop order (memoised)."""
+        links = self._links.get(path)
+        if links is None:
+            links = tuple(zip(path, path[1:]))
+            self._links[path] = links
+        return links
 
     def _enumerate(self, source: int, destination: int) -> List[Tuple[int, ...]]:
         policy = self.config.routing_policy
@@ -343,3 +353,4 @@ class PathSelector:
     def clear_cache(self) -> None:
         """Drop the memoised candidate paths (rarely needed)."""
         self._cache.clear()
+        self._links.clear()

@@ -188,6 +188,28 @@ def test_repair_reports_unrepairable_gracefully():
     assert outcome.full_remap is None  # even a full remap cannot absorb it
 
 
+def test_repair_probe_propagates_evaluator_defects(monkeypatch):
+    from repro.core.mapping import UnifiedMapper
+
+    use_cases = generate_benchmark("spread", 3, core_count=12, seed=1)
+    cold_engine = MappingEngine()
+    baseline = cold_engine.map(use_cases)
+    failures = FailureSet().mark_link_down(0, 1)
+    assert repair_mapping(cold_engine, use_cases, baseline, failures).unrepairable
+
+    # A warm engine recalls every evaluation, including the infeasibility,
+    # so the unrepairable-use-case probe is the only evaluator call left.
+    warm_engine = MappingEngine()
+    warm_engine.import_evaluations(cold_engine.export_evaluations())
+
+    def broken(*args, **kwargs):
+        raise KeyError("evaluator defect")
+
+    monkeypatch.setattr(UnifiedMapper, "evaluate_group_fixed", broken)
+    with pytest.raises(KeyError, match="evaluator defect"):
+        repair_mapping(warm_engine, use_cases, baseline, failures)
+
+
 # --------------------------------------------------------------------- #
 # RepairJob: warm/cold equivalence (satellite c)
 # --------------------------------------------------------------------- #

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-import repro.optimize.screen as screen_mod
+import repro.noc.slot_table as slot_table_mod
 from repro.core.engine import MappingEngine
 from repro.exceptions import MappingError
 from repro.gen import generate_benchmark
@@ -31,7 +31,7 @@ from repro.optimize.screen import (
 )
 
 requires_numpy = pytest.mark.skipif(
-    screen_mod._np is None, reason="numpy not installed"
+    slot_table_mod._np is None, reason="numpy not installed"
 )
 
 
@@ -71,7 +71,7 @@ def test_numpy_backend_rejects_oversized_tables():
 def test_select_backend_prefers_ints_for_narrow_batches():
     assert isinstance(select_backend(32, rows=1), PackedIntMaskBackend)
     assert isinstance(select_backend(128), PackedIntMaskBackend)
-    if screen_mod._np is not None:
+    if slot_table_mod._np is not None:
         assert isinstance(select_backend(32), NumpyMaskBackend)
         assert isinstance(select_backend(32, rows=NUMPY_MIN_ROWS), NumpyMaskBackend)
     else:
@@ -114,12 +114,12 @@ def test_screened_refinement_is_bit_identical_to_scalar(
 
     screened_runs = {}
     # fallback backend (numpy unavailable)
-    monkeypatch.setattr(screen_mod, "_np", None)
+    monkeypatch.setattr(slot_table_mod, "_np", None)
     screened_runs["fallback"] = _refine(refiner_cls, use_cases, result, **kwargs)
     monkeypatch.undo()
-    if screen_mod._np is not None:
+    if slot_table_mod._np is not None:
         # numpy forced into every batch, however narrow
-        monkeypatch.setattr(screen_mod, "NUMPY_MIN_ROWS", 1)
+        monkeypatch.setattr(slot_table_mod, "NUMPY_MIN_ROWS", 1)
         screened_runs["numpy"] = _refine(refiner_cls, use_cases, result, **kwargs)
         monkeypatch.undo()
 
@@ -134,6 +134,25 @@ def test_screened_refinement_is_bit_identical_to_scalar(
         assert info["screen_misses"] > 0, name
         # a kernel evaluation *is* a computed evaluation
         assert info["evaluation_misses"] >= info["screen_misses"], name
+
+
+def test_screen_misses_are_evaluator_calls(monkeypatch):
+    from repro.core.mapping import UnifiedMapper
+
+    calls = []
+    evaluate = UnifiedMapper.evaluate_group_fixed
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[1])
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(UnifiedMapper, "evaluate_group_fixed", counted)
+    use_cases = spread10()
+    result = MappingEngine().map(use_cases)
+    _, engine = _refine(TabuRefiner, use_cases, result, iterations=8)
+    misses = engine.cache_info()["screen_misses"]
+    assert misses > 0
+    assert len(calls) == misses
 
 
 def test_screened_exports_match_scalar_exports():

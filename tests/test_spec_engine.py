@@ -203,33 +203,61 @@ def test_engine_worst_case_matches_legacy_construction(figure5_use_cases):
 # --------------------------------------------------------------------------- #
 # fixed-placement evaluation
 # --------------------------------------------------------------------------- #
-def test_evaluate_placement_bit_identical_to_general_path():
-    import random
+def _fixed_placement_case(degraded):
+    """(use cases, mapper, baseline, topology, complete placement) to evaluate.
+
+    The degraded case provisions a 3x3 mesh, takes one link and one switch
+    down, and moves the dead switch's cores to the emptiest alive switches.
+    """
+    from collections import Counter
+
+    from repro.noc import FailureSet, Topology
 
     use_cases = generate_benchmark("spread", 5, seed=3)
     mapper = UnifiedMapper()
-    result = mapper.map(use_cases)
+    if not degraded:
+        result = mapper.map(use_cases)
+        return use_cases, mapper, result, result.topology, dict(result.core_mapping)
+    result = mapper.map_with_placement(
+        use_cases, Topology.mesh(3, 3), {}, validate=False
+    )
+    topology = result.topology.with_failures(
+        FailureSet().mark_link_down(4, 5).mark_switch_down(2)
+    )
+    placement = dict(result.core_mapping)
+    alive = [switch.index for switch in topology.alive_switches]
+    for core in sorted(placement):
+        if placement[core] == 2:
+            occupancy = Counter(placement.values())
+            placement[core] = min(alive, key=lambda index: (occupancy[index], index))
+    return use_cases, mapper, result, topology, placement
+
+
+@pytest.mark.parametrize("degraded", [False, True], ids=["pristine", "degraded"])
+def test_evaluate_placement_bit_identical_to_general_path(degraded):
+    import random
+
+    use_cases, mapper, result, topology, placement = _fixed_placement_case(degraded)
     engine = MappingEngine(params=result.params, config=result.config)
     spec = engine.compile(use_cases)
     groups = [list(g) for g in result.groups]
     rng = random.Random(5)
-    cores = sorted(result.core_mapping)
-    placement = dict(result.core_mapping)
+    cores = sorted(placement)
     for _ in range(8):
         first, second = rng.sample(cores, 2)
         placement[first], placement[second] = placement[second], placement[first]
         reference = mapper.map_with_placement(
-            use_cases, result.topology, placement, groups=groups, validate=False
+            use_cases, topology, placement, groups=groups, validate=False
         )
         fast = engine.evaluate_placement(
-            spec, result.topology, placement, groups=groups
+            spec, topology, placement, groups=groups
         )
         assert mapping_fingerprint(fast) == mapping_fingerprint(reference)
         flat_cost = sum(
             cfg.total_bandwidth_hops() for cfg in reference.configurations.values()
         )
         assert engine.placement_cost(
-            spec, result.topology, placement, groups=groups
+            spec, topology, placement, groups=groups
         ) == flat_cost
         assert fast.cached_communication_cost == flat_cost
 

@@ -13,7 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro import TdmaSimulator, UnifiedMapper, load_use_case_set, verify_mapping
+from repro import TdmaSimulator, UnifiedMapper, load_use_case_set, validate_mapping
 from repro.io import save_mapping_result
 
 SPECIFICATION = {
@@ -48,9 +48,9 @@ def main() -> None:
 
     design = load_use_case_set(spec_path)
     result = UnifiedMapper().map(design)
-    report = verify_mapping(result, design, simulate=True, frames=64)
+    report = validate_mapping(result, design, simulate=True, frames=64)
     print(f"mapped onto {result.topology.name} ({result.switch_count} switches); "
-          f"verification {'passed' if report.passed else 'FAILED'}")
+          f"verification {'passed' if report.ok else 'FAILED'}")
 
     simulation = TdmaSimulator(result, "capture").run(frames=64)
     print(f"simulated 'capture': worst flit latency "

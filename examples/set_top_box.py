@@ -38,7 +38,7 @@ def main() -> None:
     print(f"configuration groups     : {[sorted(g) for g in outcome.groups]}")
     print(f"NoC                      : {mapping.topology.name} "
           f"({mapping.switch_count} switches, {noc_area(mapping):.2f} mm²)")
-    print(f"verification             : {'passed' if outcome.verification.passed else 'FAILED'}")
+    print(f"verification             : {'passed' if outcome.verification.ok else 'FAILED'}")
 
     # Compare against the worst-case baseline.
     try:

@@ -55,7 +55,7 @@ from repro.exceptions import (
     VerificationError,
 )
 from repro.noc import Topology
-from repro.perf import TdmaSimulator, verify_mapping
+from repro.perf import TdmaSimulator
 from repro.params import MapperConfig as MapperConfig  # noqa: F401  (canonical home)
 from repro.analysis import compare_methods
 from repro.gen import (
@@ -126,7 +126,6 @@ __all__ = [
     # substrate / analysis
     "Topology",
     "TdmaSimulator",
-    "verify_mapping",
     "validate_mapping",
     "ValidationIssue",
     "ValidationReport",

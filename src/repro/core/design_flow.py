@@ -11,8 +11,8 @@ The flow stitches the individual phases together:
   (:mod:`repro.core.mapping`, Algorithm 2), optionally followed by a
   refinement pass (:mod:`repro.optimize`).
 * **Phase 4** — analytical performance verification of the produced
-  configuration (:mod:`repro.perf.verification`) and, in place of the
-  paper's SystemC/VHDL generation, a structural export
+  configuration (:func:`repro.core.validate.validate_mapping`) and, in
+  place of the paper's SystemC/VHDL generation, a structural export
   (:mod:`repro.io.export`).
 
 Most users only need :meth:`DesignFlow.run`; the individual phases remain
@@ -21,7 +21,7 @@ available for scripting finer-grained experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.compound import CompoundModeSpec, generate_compound_modes
@@ -29,8 +29,8 @@ from repro.core.engine import MappingEngine
 from repro.core.result import MappingResult
 from repro.core.switching import SwitchingGraph
 from repro.core.usecase import UseCase, UseCaseSet
+from repro.core.validate import ValidationReport, validate_mapping
 from repro.params import MapperConfig, NoCParameters
-from repro.perf.verification import VerificationReport, verify_mapping
 
 __all__ = ["DesignFlow", "DesignFlowResult"]
 
@@ -54,7 +54,7 @@ class DesignFlowResult:
     mapping:
         The phase-3 mapping result.
     verification:
-        The phase-4 analytical verification report (``None`` when
+        The phase-4 validation report (``None`` when
         verification was disabled).
     """
 
@@ -63,7 +63,7 @@ class DesignFlowResult:
     switching_graph: SwitchingGraph
     groups: Tuple[FrozenSet[str], ...]
     mapping: MappingResult
-    verification: Optional[VerificationReport] = None
+    verification: Optional[ValidationReport] = None
 
     @property
     def switch_count(self) -> int:
@@ -77,7 +77,7 @@ class DesignFlowResult:
             {
                 "compound_modes": [uc.name for uc in self.generated_compound_modes],
                 "groups": [sorted(group) for group in self.groups],
-                "verified": None if self.verification is None else self.verification.passed,
+                "verified": None if self.verification is None else self.verification.ok,
             }
         )
         return digest
@@ -137,7 +137,7 @@ class DesignFlow:
         mapping = self.engine.map(expanded, switching_graph=switching_graph)
 
         # Phase 4: analytical verification of the GT connections.
-        report = verify_mapping(mapping, expanded) if self.verify else None
+        report = validate_mapping(mapping, expanded) if self.verify else None
 
         return DesignFlowResult(
             use_cases=expanded,

@@ -1,12 +1,12 @@
-"""Standalone re-validation of finished mappings against raw constraints.
+"""Re-validation of finished mappings: the one mapping checker.
 
-:func:`validate_mapping` is the *referee* shared by the heuristic mapper, the
-exact backend (:mod:`repro.optimize.ilp`) and the test suite.  Unlike
-:func:`repro.perf.verification.verify_mapping` — which re-checks a result
-against the use-case set it was produced from, including analytical latency
-bounds and the cycle-level simulator — this checker needs nothing but the
-:class:`~repro.core.result.MappingResult` itself and judges it against the raw
-physical constraints, independently of the mapper's incremental accounting:
+Phase 4 of the paper's design flow verifies the finished NoC configuration
+analytically (and by simulation).  :func:`validate_mapping` is that check and
+the *referee* shared by the design flow, the exact backend
+(:mod:`repro.optimize.ilp`), the gap job, the benchmark gate and the test
+suite.  It needs nothing but the :class:`~repro.core.result.MappingResult`
+itself and judges it against the raw physical constraints, independently of
+the mapper's incremental accounting:
 
 * **placement** — every core sits on an existing, alive switch, and no switch
   hosts more cores than ``max_cores_per_switch`` allows;
@@ -20,10 +20,19 @@ physical constraints, independently of the mapper's incremental accounting:
 * **bandwidth ceilings** — reserved slots cover each GT flow's bandwidth on
   every traversed link, and per-link / per-NI aggregate loads stay within the
   link capacity in every use-case;
+* **latency** — the analytical worst-case latency
+  (:func:`repro.perf.latency.worst_case_latency`) of every GT allocation
+  meets its flow's constraint;
 * **deadlock rules** — per use-case, the channel dependency graph of the
   best-effort (wormhole-switched) paths is acyclic.  GT traffic is
   contention-free by TDMA construction and is exempt (see
   :mod:`repro.noc.deadlock`).
+
+Two layers are opt-in.  Given the original use-case set, every flow must have
+an allocation, and its bandwidth and latency are re-checked against the
+use-case's own flow (a constraint tightened after mapping is caught).  With
+``simulate=True`` the cycle-level TDMA simulator replays every configuration
+and flags flows whose delivered bandwidth falls short.
 
 Every failed check produces a :class:`ValidationIssue` with a stable ``kind``
 so callers (and the fuzz tests) can assert *which* constraint was violated,
@@ -36,9 +45,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.result import FlowAllocation, MappingResult
-from repro.core.usecase import TrafficClass, UseCaseSet
+from repro.core.usecase import Flow, TrafficClass, UseCaseSet
 from repro.exceptions import VerificationError
 from repro.noc.deadlock import is_deadlock_free
+from repro.perf.latency import worst_case_latency
+from repro.perf.simulator import TdmaSimulator
 
 __all__ = ["ValidationIssue", "ValidationReport", "validate_mapping"]
 
@@ -49,7 +60,7 @@ class ValidationIssue:
 
     Kinds: ``"placement"``, ``"occupancy"``, ``"downed-switch"``, ``"path"``,
     ``"slot-range"``, ``"slot-collision"``, ``"bandwidth"``, ``"capacity"``,
-    ``"deadlock"``, ``"missing"``.
+    ``"latency"``, ``"deadlock"``, ``"missing"``, ``"simulation"``.
     """
 
     use_case: str
@@ -66,6 +77,7 @@ class ValidationReport:
 
     issues: List[ValidationIssue] = field(default_factory=list)
     checked_allocations: int = 0
+    simulated_use_cases: int = 0
 
     @property
     def ok(self) -> bool:
@@ -97,7 +109,11 @@ class ValidationReport:
 
 
 def validate_mapping(
-    result: MappingResult, use_cases: Optional[UseCaseSet] = None
+    result: MappingResult,
+    use_cases: Optional[UseCaseSet] = None,
+    *,
+    simulate: bool = False,
+    frames: int = 32,
 ) -> ValidationReport:
     """Re-verify a mapping result against the raw physical constraints.
 
@@ -109,7 +125,15 @@ def validate_mapping(
         produced under failures) and parameters define the constraints.
     use_cases:
         Optional original use-case set.  When given, coverage is also
-        checked: every flow of every use-case must have an allocation.
+        checked — every flow of every use-case must have an allocation — and
+        each allocation's bandwidth and latency are re-checked against the
+        use-case's flow.  For worst-case baseline results pass the singleton
+        set holding the synthetic use-case.
+    simulate:
+        Additionally run the cycle-level TDMA simulator for every
+        configuration and flag flows whose delivered bandwidth falls short.
+    frames:
+        Number of slot-table revolutions to simulate per configuration.
     """
     report = ValidationReport()
     _check_placement(result, report)
@@ -121,7 +145,8 @@ def validate_mapping(
         for allocation in configuration:
             report.checked_allocations += 1
             _check_path(result, name, allocation, report)
-            _check_slots(result, name, allocation, report)
+            _check_slot_range(result, name, allocation, report)
+            _check_demand(result, name, allocation.flow, allocation, report)
             if (
                 allocation.flow.traffic_class != TrafficClass.GUARANTEED
                 and allocation.hop_count >= 2
@@ -138,6 +163,8 @@ def validate_mapping(
     _check_slot_exclusivity(result, group_of, report)
     if use_cases is not None:
         _check_coverage(result, use_cases, report)
+    if simulate:
+        _check_simulation(result, frames, report)
     return report
 
 
@@ -229,13 +256,13 @@ def _check_path(
             )
 
 
-def _check_slots(
+def _check_slot_range(
     result: MappingResult,
     use_case: str,
     allocation: FlowAllocation,
     report: ValidationReport,
 ) -> None:
-    """Slot indices in range; GT reservations cover the flow bandwidth per link."""
+    """Slot indices lie within the slot table."""
     params = result.params
     flow = allocation.flow
     for link, slots in allocation.link_slots.items():
@@ -249,8 +276,19 @@ def _check_slots(
                         f"{params.slot_table_size}",
                     )
                 )
-    if flow.traffic_class != TrafficClass.GUARANTEED or allocation.hop_count == 0:
+
+
+def _check_demand(
+    result: MappingResult,
+    use_case: str,
+    flow: Flow,
+    allocation: FlowAllocation,
+    report: ValidationReport,
+) -> None:
+    """GT reservations cover ``flow``'s bandwidth and meet its latency bound."""
+    if flow.traffic_class != TrafficClass.GUARANTEED:
         return
+    params = result.params
     for link in allocation.links:
         provided = len(allocation.link_slots.get(link, ())) * params.slot_bandwidth
         if provided + 1e-9 < flow.bandwidth:
@@ -260,6 +298,19 @@ def _check_slots(
                     f"flow {flow.source}->{flow.destination} needs "
                     f"{flow.bandwidth:.6g} B/s on link {link} but its slots "
                     f"provide only {provided:.6g} B/s",
+                )
+            )
+    # A GT flow crossing links without slots fails the bandwidth check above
+    # and has no finite latency bound to compare.
+    slots = allocation.slots_per_link
+    if slots or not allocation.hop_count:
+        bound = worst_case_latency(allocation.hop_count, slots, params)
+        if bound > flow.latency + 1e-12:
+            report.issues.append(
+                ValidationIssue(
+                    use_case, "latency",
+                    f"flow {flow.source}->{flow.destination} worst-case latency "
+                    f"{bound:.6g} s exceeds its constraint {flow.latency:.6g} s",
                 )
             )
 
@@ -311,17 +362,42 @@ def _check_slot_exclusivity(result, group_of, report) -> None:
 
 
 def _check_coverage(result, use_cases, report) -> None:
-    """Every flow of every use-case must have an allocation."""
+    """Every flow of every use-case has an allocation that meets its demand."""
     for use_case in use_cases:
         configuration = result.configurations.get(use_case.name)
         for flow in use_case.flows:
-            if (
-                configuration is None
-                or configuration.allocation_for(flow.source, flow.destination) is None
-            ):
+            allocation = (
+                None if configuration is None
+                else configuration.allocation_for(flow.source, flow.destination)
+            )
+            if allocation is None:
                 report.issues.append(
                     ValidationIssue(
                         use_case.name, "missing",
                         f"flow {flow.source}->{flow.destination} has no allocation",
+                    )
+                )
+            elif flow != allocation.flow:
+                _check_demand(result, use_case.name, flow, allocation, report)
+
+
+def _check_simulation(result, frames, report) -> None:
+    """Replay every configuration's slot tables; delivered bandwidth must keep up."""
+    for name in result.configurations:
+        simulation = TdmaSimulator(result, name).run(frames=frames)
+        report.simulated_use_cases += 1
+        duration = simulation.duration_seconds
+        for stats in simulation.flows.values():
+            if stats.required_bandwidth <= 0:
+                continue
+            # 5% tolerance plus one flit for the quantisation of slow flows.
+            expected_bytes = stats.required_bandwidth * duration * 0.95
+            if stats.delivered_bytes + simulation.flit_bytes < expected_bytes:
+                report.issues.append(
+                    ValidationIssue(
+                        name, "simulation",
+                        f"flow {stats.source}->{stats.destination} delivered "
+                        f"{stats.delivered_bandwidth(duration):.6g} B/s of the "
+                        f"required {stats.required_bandwidth:.6g} B/s",
                     )
                 )

@@ -77,9 +77,9 @@ class ExactBackendUnavailable(ConfigurationError):
 class VerificationError(ReproError):
     """A produced mapping violates the constraints it claims to satisfy.
 
-    Raised by :mod:`repro.perf.verification` when analytical re-checking or
-    simulation of a :class:`~repro.core.result.MappingResult` finds a flow
-    whose bandwidth or latency constraint is not actually met.
+    Raised by :meth:`repro.core.validate.ValidationReport.raise_if_failed`
+    when re-checking (analytically or by simulation) a
+    :class:`~repro.core.result.MappingResult` found violated constraints.
     """
 
 

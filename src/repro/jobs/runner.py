@@ -145,7 +145,7 @@ def _execute_design_flow(job: DesignFlowJob, engine: MappingEngine) -> Dict:
     payload = _mapping_payload(outcome.mapping)
     payload["flow"] = outcome.summary()
     payload["verification_passed"] = (
-        None if outcome.verification is None else outcome.verification.passed
+        None if outcome.verification is None else outcome.verification.ok
     )
     return payload
 

@@ -24,12 +24,11 @@ cheapest path on which the reservation is actually possible.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.exceptions import RoutingError, TopologyError
+from repro.exceptions import RoutingError
 from repro.noc.deadlock import is_west_first_path
 from repro.noc.resources import INFEASIBLE_COST, ResourceState
 from repro.noc.topology import Topology

@@ -1,4 +1,4 @@
-"""Performance analysis: analytical latency bounds, simulation and verification.
+"""Performance analysis: analytical latency bounds and simulation.
 
 * :mod:`repro.perf.latency` — worst-case latency bounds for guaranteed-
   throughput flows under pipelined TDMA scheduling.
@@ -6,13 +6,13 @@
   replays a mapping's slot tables and measures delivered bandwidth and
   packet latency (our stand-in for the paper's SystemC/RTL simulation
   phase).
-* :mod:`repro.perf.verification` — re-checks a finished mapping against the
-  original constraints, analytically and (optionally) by simulation.
+
+Both are layers of the one mapping checker,
+:func:`repro.core.validate.validate_mapping`.
 """
 
 from repro.perf.latency import worst_case_latency, latency_hop_budget
 from repro.perf.simulator import SimulationReport, TdmaSimulator, FlowTrafficStats
-from repro.perf.verification import VerificationReport, verify_mapping
 
 __all__ = [
     "worst_case_latency",
@@ -20,6 +20,4 @@ __all__ = [
     "SimulationReport",
     "TdmaSimulator",
     "FlowTrafficStats",
-    "VerificationReport",
-    "verify_mapping",
 ]

@@ -19,8 +19,9 @@ works:
   and only pay the NI overhead.
 
 The simulator reports delivered bandwidth and observed worst-case latency
-per flow, which the verification module compares against the analytical
-bounds and the original constraints.
+per flow; the simulation layer of
+:func:`repro.core.validate.validate_mapping` compares the delivered bandwidth
+against each flow's requirement.
 """
 
 from __future__ import annotations

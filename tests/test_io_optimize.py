@@ -174,9 +174,9 @@ def test_refinement_preserves_feasibility_and_never_worsens(figure5_use_cases):
     assert outcome.improvement >= 0.0
     assert outcome.refined.switch_count == initial.switch_count
     # The refined mapping still satisfies every constraint.
-    from repro import verify_mapping
+    from repro import validate_mapping
 
-    assert verify_mapping(outcome.refined, figure5_use_cases).passed
+    assert validate_mapping(outcome.refined, figure5_use_cases).ok
 
 
 def test_annealing_zero_iterations_is_identity(figure5_mapping, figure5_use_cases):
@@ -217,7 +217,7 @@ def test_design_flow_end_to_end(figure5_use_cases):
     assert outcome.generated_compound_modes[0].name == "uc1+uc2"
     # Compound membership forces a shared configuration group.
     assert frozenset({"uc1", "uc2", "uc1+uc2"}) in outcome.groups
-    assert outcome.verification is not None and outcome.verification.passed
+    assert outcome.verification is not None and outcome.verification.ok
     summary = outcome.summary()
     assert summary["compound_modes"] == ["uc1+uc2"]
     assert summary["verified"] is True

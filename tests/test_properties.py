@@ -25,7 +25,7 @@ from repro import (
     UseCase,
     UseCaseSet,
     WorstCaseMapper,
-    verify_mapping,
+    validate_mapping,
 )
 from repro.units import mbps, us
 
@@ -88,8 +88,8 @@ def test_mapping_invariants_hold_for_random_designs(design):
 
     # Every flow has an allocation consistent with the shared mapping, and
     # the slot reservations provide enough bandwidth.
-    report = verify_mapping(result, design)
-    assert report.passed, [str(v) for v in report.violations]
+    report = validate_mapping(result, design)
+    assert report.ok, [str(issue) for issue in report.issues]
 
 
 @given(design=small_designs())

@@ -11,7 +11,7 @@ from repro import (
     UnifiedMapper,
     UseCase,
     UseCaseSet,
-    verify_mapping,
+    validate_mapping,
 )
 from repro.core.result import FlowAllocation
 from repro.perf.latency import NI_OVERHEAD_CYCLES, latency_hop_budget, worst_case_latency
@@ -163,31 +163,31 @@ def test_simulator_unknown_use_case(figure5_mapping):
 # verification
 # --------------------------------------------------------------------------- #
 def test_verification_passes_for_fresh_mapping(figure5_mapping, figure5_use_cases):
-    report = verify_mapping(figure5_mapping, figure5_use_cases)
-    assert report.passed, [str(v) for v in report.violations]
-    assert report.checked_flows == 6
+    report = validate_mapping(figure5_mapping, figure5_use_cases)
+    assert report.ok, [str(issue) for issue in report.issues]
+    assert report.checked_allocations == 6
 
 
 def test_verification_with_simulation(figure5_mapping, figure5_use_cases):
-    report = verify_mapping(figure5_mapping, figure5_use_cases, simulate=True, frames=16)
-    assert report.passed
+    report = validate_mapping(figure5_mapping, figure5_use_cases, simulate=True, frames=16)
+    assert report.ok
     assert report.simulated_use_cases == 2
 
 
 def test_verification_detects_missing_flow(figure5_mapping, figure5_use_cases):
     extended = UseCase("uc1", flows=[Flow("C1", "C4", mbps(10))])
     tampered = UseCaseSet([extended, figure5_use_cases["uc2"]], name="tampered")
-    report = verify_mapping(figure5_mapping, tampered)
-    assert not report.passed
-    assert report.violations_of_kind("missing")
+    report = validate_mapping(figure5_mapping, tampered)
+    assert not report.ok
+    assert report.issues_of_kind("missing")
 
 
 def test_verification_detects_missing_use_case(figure5_mapping):
     extra = UseCaseSet(
         [UseCase("uc3", flows=[Flow("C1", "C2", mbps(10))])], name="extra"
     )
-    report = verify_mapping(figure5_mapping, extra)
-    assert not report.passed
+    report = validate_mapping(figure5_mapping, extra)
+    assert not report.ok
 
 
 def test_verification_detects_latency_violation(figure5_use_cases):
@@ -200,9 +200,9 @@ def test_verification_detects_latency_violation(figure5_use_cases):
         Flow("C3", "C4", mbps(100)),
     ])
     tampered = UseCaseSet([impossible, figure5_use_cases["uc2"]], name="tampered")
-    report = verify_mapping(result, tampered)
-    violations = report.violations_of_kind("latency") + report.violations_of_kind("missing")
-    assert violations
+    report = validate_mapping(result, tampered)
+    issues = report.issues_of_kind("latency") + report.issues_of_kind("missing")
+    assert issues
 
 
 def test_verified_end_to_end_with_groups(video_use_cases):
@@ -213,5 +213,5 @@ def test_verified_end_to_end_with_groups(video_use_cases):
     result = UnifiedMapper().map(video_use_cases, switching_graph=graph)
     # Enough frames for the flit quantisation of low-bandwidth flows to
     # average out (the simulator's tolerance is one flit).
-    report = verify_mapping(result, video_use_cases, simulate=True, frames=64)
-    assert report.passed, [str(v) for v in report.violations]
+    report = validate_mapping(result, video_use_cases, simulate=True, frames=64)
+    assert report.ok, [str(issue) for issue in report.issues]

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro import MappingEngine, UnifiedMapper, generate_benchmark
+from repro import MappingEngine, UnifiedMapper, UseCase, UseCaseSet, generate_benchmark
 from repro.core.validate import validate_mapping
 from repro.exceptions import VerificationError
 from repro.gen import set_top_box_design
@@ -199,6 +199,41 @@ def test_slot_range_violation_is_detected():
     mutated = replace_allocation(result, name, victim, link_slots=bad)
     report = validate_mapping(mutated)
     assert "slot-range" in report.kinds
+
+
+def test_latency_violation_is_detected_without_use_cases():
+    result, _ = mapped("spread_10uc")
+    name, victim = gt_allocation_with_links(result)
+    # the allocation's own flow carries the constraint: no spec needed
+    tightened = dataclasses.replace(victim.flow, latency=1e-12)
+    mutated = replace_allocation(result, name, victim, flow=tightened)
+    report = validate_mapping(mutated)
+    assert report.kinds == ("latency",)
+    assert report.issues_of_kind("latency")[0].use_case == name
+
+
+def test_use_case_bandwidth_is_rechecked_against_the_spec():
+    result, use_cases = mapped("spread_10uc")
+    name, victim = gt_allocation_with_links(result)
+    raised = dataclasses.replace(victim.flow, bandwidth=victim.flow.bandwidth * 1e6)
+    tampered = UseCaseSet([
+        UseCase(use_case.name, flows=[
+            raised if flow == victim.flow and use_case.name == name else flow
+            for flow in use_case.flows
+        ])
+        for use_case in use_cases
+    ])
+    assert validate_mapping(result, use_cases).ok
+    assert "bandwidth" in validate_mapping(result, tampered).kinds
+
+
+def test_empty_path_with_use_cases_is_a_path_issue():
+    result, use_cases = mapped("spread_10uc")
+    name, victim = gt_allocation_with_links(result)
+    mutated = replace_allocation(result, name, victim, switch_path=(), link_slots={})
+    report = validate_mapping(mutated, use_cases)
+    assert "path" in report.kinds
+    assert any("empty path" in issue.detail for issue in report.issues_of_kind("path"))
 
 
 def test_raise_if_failed_lists_the_issues():
